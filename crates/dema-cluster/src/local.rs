@@ -241,49 +241,17 @@ impl<'a> LocalStepper<'a> {
     }
 }
 
-/// Event-time streaming local loop: windows are derived from raw event
-/// timestamps via a [`WindowManager`] and closed as the node's watermark
-/// (max seen event time minus `allowed_lateness_ms`) passes their end.
-/// Events behind the watermark are dropped and counted, per the paper's
-/// event-time processing model.
-///
-/// The node reports *every* window id in `window_range` (inclusive), sending
-/// empty reports for windows it saw no events in, so the root's
-/// all-locals-reported trigger fires for every global window.
-#[allow(clippy::too_many_arguments)]
-pub fn run_local_streaming(
-    node: NodeId,
-    events: Vec<Event>,
-    window_len: u64,
-    window_range: (u64, u64),
-    allowed_lateness_ms: u64,
-    engine: EngineKind,
-    to_root: &mut dyn MsgSender,
-    shared: &LocalShared,
-    close_times: &CloseTimes,
-) -> Result<(), ClusterError> {
-    let (windows, late) =
-        stream_windows(node, events, window_len, window_range, allowed_lateness_ms);
-    let mut stepper = LocalStepper::new(node, windows, engine, shared).with_late_events(late);
-    while !stepper.is_done() {
-        if let Some(w) = stepper.next_window() {
-            close_times.lock().insert((node.0, w), Instant::now());
-        }
-        stepper.step(to_root)?;
-    }
-    Ok(())
-}
-
 /// Derive the per-window event sets a streaming node reports: tumbling
 /// windows of `window_len` ms closed by the node's watermark (max event
 /// time − `allowed_lateness_ms`), normalized to 0-based ids covering all
 /// of `window_range` (inclusive — windows the node saw no events in are
 /// empty entries). Returns the windows plus the count of events dropped
-/// behind the watermark.
+/// behind the watermark, per the paper's event-time processing model.
 ///
-/// This is the windowing half of [`run_local_streaming`], split out so
-/// streaming work can ride the same [`LocalStepper`] as pre-windowed work
-/// (the reactor runtime hosts both through one role).
+/// Reporting *every* window id in the range keeps the root's
+/// all-locals-reported trigger firing for every global window, and lets
+/// streaming work ride the same [`LocalStepper`] as pre-windowed work (the
+/// reactor runtime hosts both through one role).
 pub fn stream_windows(
     node: NodeId,
     events: Vec<Event>,

@@ -159,8 +159,8 @@ pub struct RunReport {
     pub drained_nodes: Vec<u32>,
     /// Locals declared dead by the liveness/retry budget, node order.
     pub dead_nodes: Vec<u32>,
-    /// Allocator activity during the run (fresh blocks per phase, recycled
-    /// count, reallocs), from the armed counting allocator
+    /// Process-wide allocator activity during the run (allocations and
+    /// bytes per phase, reallocs), from the armed counting allocator
     /// ([`dema_core::alloc`]). All-zero when the allocator is disarmed
     /// (release builds without the `strict` feature).
     pub alloc: dema_core::alloc::AllocSnapshot,

@@ -637,21 +637,18 @@ mod tests {
 
     #[test]
     fn radix_scratch_is_reused_across_windows() {
-        // Pin the scratch-reuse contract with the alloc counters: once one
-        // window has grown this thread's radix scratch, a same-sized window
-        // sorts without a single fresh allocation in the Sort phase.
-        if !crate::alloc::armed() {
-            return;
-        }
+        // Pin the scratch-reuse contract with the thread-scoped alloc gate:
+        // once one window has grown this thread's radix scratch, a
+        // same-sized window sorts without a single allocation in the Sort
+        // phase (trivially true when the allocator is disarmed).
         let base = scrambled(4 * RADIX_MIN);
         let mut warm = base.clone();
         sort_run(&mut warm); // grows SCRATCH to this window size
-        let mut next = base; // moved: its buffer predates the snapshot
-        let before = crate::alloc::snapshot();
+        let mut next = base;
+        let gate = crate::alloc::AllocGate::steady_state();
         sort_run(&mut next);
-        let delta = crate::alloc::snapshot().since(&before);
         assert_eq!(
-            delta.fresh[crate::alloc::Phase::Sort as usize],
+            gate.delta().fresh[crate::alloc::Phase::Sort as usize],
             0,
             "steady-state sort_run must reuse the thread-local scratch"
         );

@@ -174,24 +174,27 @@ pub fn cut_into_slices(
     if events.is_empty() {
         return Ok(Vec::new()); // lint: allow(R15): Vec::new is allocation-free; cold empty-window return
     }
-    let mut bounds: Vec<usize> = (0..events.len()).step_by(u64_to_usize(gamma)).collect();
-    bounds.push(events.len());
+    let (len, gamma) = (events.len(), u64_to_usize(gamma));
     // Fold a trailing single-event slice into its predecessor.
-    if bounds.len() >= 3 && bounds[bounds.len() - 1] - bounds[bounds.len() - 2] == 1 {
-        let last = bounds.len() - 2;
-        bounds.remove(last);
-    }
+    let folded = len > gamma && len % gamma == 1;
+    let count = len.div_ceil(gamma) - usize::from(folded);
 
     let run = SharedRun::from_vec(events);
-    let mut slices = Vec::with_capacity(bounds.len() - 1);
-    for (index, pair) in bounds.windows(2).enumerate() {
+    let mut slices = Vec::with_capacity(count);
+    for index in 0..count {
+        let start = index * gamma;
+        let end = if index + 1 == count {
+            len
+        } else {
+            start + gamma
+        };
         slices.push(Slice {
             id: SliceId {
                 node,
                 window,
                 index: len_to_u32(index),
             },
-            events: run.slice(pair[0]..pair[1]),
+            events: run.slice(start..end),
         });
     }
     Ok(slices)

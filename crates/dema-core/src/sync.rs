@@ -60,10 +60,6 @@ impl Rank {
     pub const fn label(&self) -> &'static str {
         self.label
     }
-
-    fn describe(&self) -> String {
-        format!("{}(rank {})", self.label, self.order)
-    }
 }
 
 impl fmt::Display for Rank {
@@ -130,8 +126,8 @@ mod tracker {
             let mut held = held.borrow_mut();
             if let Some(blocker) = held.iter().rev().find(|r| r.order() >= rank.order()) {
                 return Err(DemaError::LockOrderViolation {
-                    held: blocker.describe(),
-                    acquiring: rank.describe(),
+                    held: blocker.to_string(),
+                    acquiring: rank.to_string(),
                 });
             }
             held.push(rank);

@@ -81,8 +81,8 @@
 //!   `Vec::new(..)`, `vec![..]`, `.to_vec()`, `Box::new(..)`,
 //!   `String::from(..)`, a `.min(..)`-clamped `with_capacity`, or a
 //!   payload `.clone()` there pays an allocator round-trip on every
-//!   window and breaks the zero-alloc steady-state gate
-//!   (`dema_core::alloc::AllocGate`). `SharedRun` clones are refcount
+//!   window, which the per-leaf-window allocation gate counts
+//!   (`dema-cluster/tests/alloc_gate.rs`). `SharedRun` clones are refcount
 //!   bumps and exempt; deleting a mandated marker is itself a finding.
 //! * **R16** *(alloc mode)* — frame encode/decode files draw scratch from
 //!   `dema_wire::pool::BufferPool`: ad-hoc `vec![..]` payload buffers,
@@ -2248,7 +2248,7 @@ pub const RULES: [RuleInfo; 17] = [
         rationale: "the `// hot-path: <name>` regions run once per window; a Vec::new / \
                     vec! / to_vec / Box::new / String::from / min-clamped with_capacity / \
                     payload .clone() there pays an allocator round-trip per window and \
-                    breaks the zero-alloc steady-state gate. Reuse pooled or \
+                    is counted by the per-leaf-window allocation gate. Reuse pooled or \
                     thread-local buffers; SharedRun clones (refcount bumps) are exempt. \
                     Deleting a mandated marker is itself a finding",
         allow: "// lint: allow(R15): <reason>",

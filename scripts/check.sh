@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a change must pass before it lands.
 #
-#   build (release)  — the experiment binary and benches must compile
+#   build (release)  — the experiment binary and benches must compile,
+#                      and the build must print no `warning:` line
 #   fmt --check      — first-party crates stay rustfmt-clean (vendored
 #                      crates are kept byte-identical to upstream and are
 #                      deliberately not checked)
@@ -47,12 +48,14 @@
 #                      shrinks; scripts/lint-baseline.txt)
 #   alloc gate       — dema-cluster/tests/alloc_gate.rs under --features
 #                      strict at DEMA_THREADS=1 and 4: with the counting
-#                      allocator armed, a warmed-up Dema star run over
-#                      the mem transport performs zero fresh system
-#                      allocations (every buffer off the recycling
-#                      shelves), stays bit-identical to the warm-up,
-#                      and folds its counters into RunReport.alloc (the
-#                      dynamic twin of R15–R17)
+#                      allocator armed (a plain counter over `System`), a
+#                      W-window and a 2W-window Dema star run over the mem
+#                      transport are compared. The allocations one more
+#                      leaf-window costs must be exactly 0 in the sort,
+#                      encode, decode and merge phases and at most the
+#                      pinned counts in slice and other, with values
+#                      bit-identical across the runs (the dynamic twin of
+#                      R15–R17)
 #   lock-order gate  — dema-cluster/tests/lock_order.rs under --features
 #                      strict at DEMA_THREADS=4: repeated runs reuse the
 #                      sort pool without leaking workers, a full run
@@ -84,7 +87,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
+build_log="$(cargo build --release 2>&1 | tee /dev/stderr)"
+if grep -q 'warning:' <<<"$build_log"; then
+    echo "check.sh: cargo build --release printed warnings" >&2
+    exit 1
+fi
 # shellcheck disable=SC2046
 cargo fmt --check $(for c in crates/*/; do printf -- '-p %s ' "$(basename "$c")"; done)
 for threads in 1 4; do
