@@ -94,15 +94,16 @@ pub struct LocalShared {
     /// NACKs; the stream-end message lives under [`END_KEY`]'s slot.
     /// Populated only when `retain_sent` is set.
     pub sent: Mutex<HashMap<u64, Message>>,
-    /// Thread budget for the per-window sort (`dema_core::par`); output is
-    /// bit-identical at every value, only wall-clock changes.
+    /// Shard count of the run, passed through to
+    /// `dema_core::par::sort_events_with` (which sorts inline whatever it
+    /// says).
     pub threads: usize,
 }
 
 impl LocalShared {
     /// Fresh shared state starting at `gamma` (seed protocol: served
-    /// windows are evicted, nothing is cached for resend). Sort threads
-    /// default from the `DEMA_THREADS` environment.
+    /// windows are evicted, nothing is cached for resend). The shard count
+    /// defaults from the `DEMA_THREADS` environment.
     pub fn new(gamma: u64) -> Arc<LocalShared> {
         LocalShared::configured(gamma, false, dema_core::par::default_threads())
     }
@@ -113,7 +114,7 @@ impl LocalShared {
         LocalShared::configured(gamma, true, dema_core::par::default_threads())
     }
 
-    /// Fully explicit constructor: resilience mode and sort-thread budget.
+    /// Fully explicit constructor: resilience mode and shard count.
     pub fn configured(gamma: u64, resilient: bool, threads: usize) -> Arc<LocalShared> {
         Arc::new(LocalShared {
             gamma: AtomicU64::new(gamma),
@@ -135,7 +136,8 @@ struct WindowState {
     /// The identification step's decision (index 0 = the primary quantile's
     /// plan, then the extra quantiles in order).
     selection: Option<MultiSelection>,
-    /// Synopsis lookup for verification of replies.
+    /// Synopses of the candidate slices — exactly the slices a reply may
+    /// carry — for verification of replies.
     synopsis_of: HashMap<SliceId, SliceSynopsis>,
     /// Candidate runs received so far (shared views, zero-copy off the
     /// in-memory transport).
@@ -151,10 +153,11 @@ struct WindowState {
     /// Locals whose synopses never arrived (dead at stage-1 close),
     /// ascending.
     stage1_missing: Vec<u32>,
-    /// Per-node local window sizes `l_i` (for per-node γ control).
-    node_sizes: HashMap<u32, u64>,
-    /// Per-node candidate-slice counts `m_i`.
-    node_candidates: HashMap<u32, u64>,
+    /// Per-node local window sizes `l_i` (for per-node γ control), indexed
+    /// by node id.
+    node_sizes: Vec<u64>,
+    /// Per-node candidate-slice counts `m_i`, indexed by node id.
+    node_candidates: Vec<u64>,
     /// γ in effect when this window was sliced (node 0's γ under per-node
     /// control).
     gamma: u64,
@@ -260,7 +263,8 @@ impl DemaRoot {
         let members = self.ledger.members_of(window);
         match &self.sup {
             Some(s) => s.covered_members(Some(reported), members),
-            None => members.iter().all(|n| reported.contains(n)),
+            // Only members are ever inserted into `reported`.
+            None => reported.len() == members.len(),
         }
     }
 
@@ -361,15 +365,33 @@ impl DemaRoot {
             )
             .map_err(ClusterError::Core)?;
         }
-        state.synopsis_of = state.synopses.iter().map(|s| (s.id, *s)).collect();
-        // Per-node observations for the γ controllers.
+        // Per-node observations for the γ controllers, and the synopses
+        // replies will be checked against. Stage 1 ordered the synopses by
+        // the key the selection orders its candidates by, so the candidates
+        // are met in order along the way.
+        let n_locals = self.control.len();
+        let node_slot = |id: &SliceId| u64_to_usize(u64::from(id.node.0));
         state.node_sizes.clear();
-        for s in &state.synopses {
-            *state.node_sizes.entry(s.id.node.0).or_insert(0) += s.count;
-        }
+        state.node_sizes.resize(n_locals, 0);
         state.node_candidates.clear();
-        for id in &selection.candidates {
-            *state.node_candidates.entry(id.node.0).or_insert(0) += 1;
+        state.node_candidates.resize(n_locals, 0);
+        state.synopsis_of.clear();
+        let mut wanted = selection.candidates.iter().peekable();
+        for s in &state.synopses {
+            if let Some(size) = state.node_sizes.get_mut(node_slot(&s.id)) {
+                *size += s.count;
+            }
+            if wanted.next_if_eq(&&s.id).is_some() {
+                state.synopsis_of.insert(s.id, *s);
+                if let Some(m_i) = state.node_candidates.get_mut(node_slot(&s.id)) {
+                    *m_i += 1;
+                }
+            }
+        }
+        if let Some(id) = wanted.next() {
+            return Err(ClusterError::Protocol(format!(
+                "{window}: candidate {id} is not among the window's synopses"
+            )));
         }
 
         // Group candidate slices by owning node; remember the grouping so a
@@ -477,28 +499,29 @@ impl DemaRoot {
                 window,
                 index,
             };
-            let selected = state
-                .selection
-                .as_ref()
-                .is_some_and(|sel| sel.candidates.contains(&id));
-            if !selected {
-                return Err(ClusterError::Protocol(format!(
-                    "reply for unselected slice {id}"
-                )));
-            }
-            let syn = state
-                .synopsis_of
-                .get(&id)
-                .ok_or_else(|| ClusterError::Protocol(format!("reply for unknown slice {id}")))?;
+            let syn = state.synopsis_of.get(&id).ok_or_else(|| {
+                ClusterError::Protocol(format!("reply for unselected slice {id}"))
+            })?;
             // Cheap integrity check: count, endpoints, sortedness.
             let slice = Slice { id, events };
             slice.verify_against(syn).map_err(ClusterError::Core)?;
             state.runs.push(slice.events);
         }
-        let all_in = state
-            .expected_replies
-            .iter()
-            .all(|n| state.replied.contains(n) || self.sup.as_ref().is_some_and(|s| s.is_dead(*n)));
+        let all_in = match &self.sup {
+            // Nobody dies without a supervisor, so nothing is complete
+            // before as many nodes replied as were asked: one scan a window.
+            None => {
+                state.replied.len() >= state.expected_replies.len()
+                    && state
+                        .expected_replies
+                        .iter()
+                        .all(|n| state.replied.contains(n))
+            }
+            Some(sup) => state
+                .expected_replies
+                .iter()
+                .all(|n| state.replied.contains(n) || sup.is_dead(*n)),
+        };
         if all_in {
             self.resolve(window, resolved)?;
         }
@@ -613,7 +636,7 @@ impl DemaRoot {
         let gamma = state.gamma;
         let total = selection.total_events;
         let m = len_to_u64(selection.candidates.len());
-        let synopses = len_to_u64(state.synopsis_of.len());
+        let synopses = len_to_u64(state.synopses.len());
         let node_sizes = std::mem::take(&mut state.node_sizes);
         let node_candidates = std::mem::take(&mut state.node_candidates);
         self.states.remove(&window.0);
@@ -662,11 +685,11 @@ impl DemaRoot {
                         if self.departed.contains(&len_to_u32(n)) {
                             continue; // drained: its responder retired
                         }
-                        let l_i = node_sizes.get(&len_to_u32(n)).copied().unwrap_or(0);
+                        let l_i = node_sizes.get(n).copied().unwrap_or(0);
                         if l_i == 0 {
                             continue; // node idle this window, keep its γ
                         }
-                        let m_i = node_candidates.get(&len_to_u32(n)).copied().unwrap_or(0);
+                        let m_i = node_candidates.get(n).copied().unwrap_or(0);
                         let before = ctl.current();
                         let next = ctl.observe_checked(l_i, m_i).map_err(ClusterError::Core)?;
                         if next != before {

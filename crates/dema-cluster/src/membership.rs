@@ -190,7 +190,8 @@ impl EpochLedger {
 
     /// `true` when `node` contributes to `window`.
     pub fn is_member(&self, window: u64, node: u32) -> bool {
-        self.members_of(window).contains(&node)
+        // Every epoch's member list is kept ascending.
+        self.members_of(window).binary_search(&node).is_ok()
     }
 
     /// The first window `node` produces (`0` for epoch-0 members).

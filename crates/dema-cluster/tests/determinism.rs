@@ -1,8 +1,8 @@
-//! Thread-count determinism: the parallel window sort (`dema_core::par`)
-//! must be invisible on the wire. A run with one sort thread and a run
-//! with four must produce byte-identical results AND byte-identical
-//! traffic counters — values, outcomes, per-node/control/tier bytes,
-//! messages, and event counts all equal.
+//! Thread-count determinism: how many shards host the leaves must be
+//! invisible on the wire. A run on one shard and a run on four must
+//! produce byte-identical results AND byte-identical traffic counters —
+//! values, outcomes, per-node/control/tier bytes, messages, and event
+//! counts all equal.
 
 use dema_cluster::config::{ClusterConfig, EngineKind, GammaMode};
 use dema_cluster::report::RunReport;
@@ -12,17 +12,15 @@ use dema_core::quantile::Quantile;
 use dema_core::selector::SelectionStrategy;
 use dema_gen::SoccerGenerator;
 
-/// Aligned per-window inputs big enough to cross the parallel-sort
-/// crossover ([`dema_core::par::PAR_SORT_MIN`] events per window), so the
-/// four-thread run genuinely fans out across the pool.
+/// Aligned per-window inputs, long enough for the radix path of the
+/// window sort.
 fn big_inputs(n: usize, windows: usize) -> Vec<Vec<Vec<Event>>> {
-    let rate = (dema_core::par::PAR_SORT_MIN + 1_000) as u64;
     (0..n)
-        .map(|i| SoccerGenerator::new(42 + i as u64, 1, rate, 0).take_windows(windows, 1000))
+        .map(|i| SoccerGenerator::new(42 + i as u64, 1, 9_192, 0).take_windows(windows, 1000))
         .collect()
 }
 
-/// Run one config at an explicit sort-thread budget.
+/// Run one config at an explicit shard count.
 fn run_at(mut config: ClusterConfig, threads: usize, inputs: &[Vec<Vec<Event>>]) -> RunReport {
     config.threads = Some(threads);
     run_cluster(&config, inputs.to_vec()).unwrap()
@@ -72,13 +70,13 @@ fn dema_traffic_is_bit_identical_across_thread_counts() {
     let parallel = run_at(config, 4, &inputs);
     assert_reports_identical(&serial, &parallel, "dema");
     // Sanity: the run actually did work at this scale.
-    assert!(serial.total_events as usize > 2 * dema_core::par::PAR_SORT_MIN);
+    assert!(serial.total_events > 2 * 8_192);
 }
 
 #[test]
 fn dec_sort_batches_are_bit_identical_across_thread_counts() {
     // DecSort ships the *sorted run itself*, so any instability in the
-    // parallel sort would change wire bytes, not just ordering in memory.
+    // sort would change wire bytes, not just ordering in memory.
     let inputs = big_inputs(2, 2);
     let config = ClusterConfig::baseline(EngineKind::DecSort, Quantile::P75);
     let serial = run_at(config.clone(), 1, &inputs);
@@ -91,13 +89,12 @@ fn adaptive_gamma_stays_exact_across_thread_counts() {
     // Adaptive γ feeds observed l_G back into later windows' slicing, but
     // the update is delivered asynchronously on the control plane: which
     // window first slices with the new factor depends on arrival timing,
-    // not on the sort-thread count, so traffic counters are legitimately
+    // not on the shard count, so traffic counters are legitimately
     // run-dependent here (the paced example in examples/adaptive_gamma.rs
     // is what makes the trajectory visible deterministically). What IS
     // invariant — for every γ trajectory — is exactness: Dema's answer
     // per window must be bit-identical no matter how the windows were
-    // sliced or sorted. Pin that, at a window size that crosses the
-    // parallel-sort crossover.
+    // sliced or sorted. Pin that, at a window size on the radix path.
     let inputs = big_inputs(2, 3);
     let mut config = ClusterConfig::dema_fixed(256, Quantile::MEDIAN);
     config.engine = EngineKind::Dema {

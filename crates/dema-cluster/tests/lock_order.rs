@@ -1,16 +1,14 @@
-//! Lifecycle and lock-order gates over the cluster runtime.
+//! Repeatability and lock-order gates over the cluster runtime.
 //!
-//! Two halves. (1) Sort-pool lifecycle: repeated `ClusterConfig {
-//! threads: 4 }` runs in one process must reuse the process-wide sort
-//! pool — the pool's own registry (`dema_core::par::pool_stats`) proves
-//! no worker threads leak run-over-run, and the bit-identical second
-//! result proves the job queue was neither poisoned nor wedged by the
-//! first run. (2) The runtime lock-order tracker (`dema_core::sync`):
-//! a full cluster run completes with the tracker armed (debug /
-//! `--features strict`), and an intentionally *inverted* acquisition —
-//! taking a low-ranked cluster lock while a high-ranked one is held —
-//! fires `DemaError::LockOrderViolation` naming both sites, mirroring
-//! the chaos suite's pattern of proving the detector detects.
+//! Two halves. (1) Repeated `ClusterConfig { threads: 4 }` runs in one
+//! process are bit-identical: no run leaves state behind (thread-local
+//! sort and merge scratch, the wire buffer pool, latched defaults) that
+//! changes the next one. (2) The runtime lock-order tracker
+//! (`dema_core::sync`): a full cluster run completes with the tracker
+//! armed (debug / `--features strict`), and an intentionally *inverted*
+//! acquisition — taking a low-ranked cluster lock while a high-ranked one
+//! is held — fires `DemaError::LockOrderViolation` naming both sites,
+//! mirroring the chaos suite's pattern of proving the detector detects.
 
 use dema_cluster::config::ClusterConfig;
 use dema_cluster::runner::run_cluster;
@@ -18,53 +16,36 @@ use dema_core::event::Event;
 use dema_core::quantile::Quantile;
 use dema_gen::SoccerGenerator;
 
-/// Inputs big enough to cross the parallel-sort crossover, so a
-/// `threads: 4` run genuinely dispatches chunks to the pool.
+/// Windows long enough for the radix path of the window sort.
 fn big_inputs(nodes: usize, windows: usize) -> Vec<Vec<Vec<Event>>> {
-    let rate = (dema_core::par::PAR_SORT_MIN + 1_000) as u64;
     (0..nodes)
-        .map(|i| SoccerGenerator::new(7 + i as u64, 1, rate, 0).take_windows(windows, 1000))
+        .map(|i| SoccerGenerator::new(7 + i as u64, 1, 9_192, 0).take_windows(windows, 1000))
         .collect()
 }
 
 #[test]
-fn repeated_threaded_runs_reuse_the_pool_and_leave_no_residue() {
+fn repeated_threaded_runs_are_bit_identical() {
     let mut config = ClusterConfig::dema_fixed(150, Quantile::MEDIAN);
     config.threads = Some(4);
     let inputs = big_inputs(2, 2);
 
     let first = run_cluster(&config, inputs.clone()).expect("first run");
-    // The pool exists now (the sorts above crossed the crossover); its
-    // spawn count is monotonic and must not move on later runs. The
-    // shared pool sizes itself from `default_threads() - 1`, so on a
-    // single-core box (DEMA_THREADS unset) it legitimately has zero
-    // workers and the runs sort inline — the flatness check below is
-    // what must hold everywhere.
-    let stats = dema_core::par::pool_stats();
-    if dema_core::par::default_threads() > 1 {
-        assert!(stats.live > 0, "threads: 4 run must have spawned the pool");
-    }
-    let spawned_after_first = stats.spawned;
-
     for round in 0..2 {
         let again = run_cluster(&config, inputs.clone()).expect("repeat run");
+        assert_eq!(again.values(), first.values(), "round {round}: values");
         assert_eq!(
-            again.values(),
-            first.values(),
-            "round {round}: a reused pool must not change results — a \
-             poisoned or wedged queue would hang or diverge here"
+            again.per_node_traffic, first.per_node_traffic,
+            "round {round}: per-node traffic"
         );
         assert_eq!(
-            dema_core::par::pool_stats().spawned,
-            spawned_after_first,
-            "round {round}: repeated runs must not spawn new workers"
+            again.control_traffic, first.control_traffic,
+            "round {round}: control traffic"
         );
     }
 }
 
 /// A whole windowed run under the armed tracker: every ranked lock the
-/// runtime takes (sort pool, downlinks, throttle, store, sent cache,
-/// close times) respects the global order, or the run panics here.
+/// runtime takes (downlinks, throttle, store, sent cache, close times) respects the global order, or the run panics here.
 #[test]
 fn full_run_respects_the_lock_ranking_under_the_tracker() {
     let mut config = ClusterConfig::dema_fixed(64, Quantile::MEDIAN);

@@ -132,18 +132,18 @@ mod tests {
     fn lock_order_violation_names_both_sites() {
         let e = DemaError::LockOrderViolation {
             held: "local.store(rank 50)".into(),
-            acquiring: "par.queue(rank 10)".into(),
+            acquiring: "relay.downlink(rank 20)".into(),
         };
         match &e {
             DemaError::LockOrderViolation { held, acquiring } => {
                 assert_eq!(held, "local.store(rank 50)");
-                assert_eq!(acquiring, "par.queue(rank 10)");
+                assert_eq!(acquiring, "relay.downlink(rank 20)");
             }
             other => panic!("unexpected variant: {other:?}"),
         }
         assert_eq!(
             e.to_string(),
-            "lock-order violation: acquiring par.queue(rank 10) while holding local.store(rank 50)"
+            "lock-order violation: acquiring relay.downlink(rank 20) while holding local.store(rank 50)"
         );
     }
 

@@ -32,11 +32,11 @@
 //! The result is the *exact* quantile value with, typically, a ~99 %
 //! reduction in network traffic versus centralized aggregation.
 //!
-//! This crate is pure: no I/O and no external effects. The algorithms are
-//! single-threaded except [`par`], an opt-in deterministic sort pool whose
-//! output is bit-identical to the serial path at every thread count. The
-//! cluster runtime lives in `dema-cluster`, transports in `dema-net`, and
-//! the wire format in `dema-wire`.
+//! This crate is pure: no I/O and no external effects, and every
+//! algorithm is single-threaded ([`par`] holds the per-window sort, which
+//! runs inline on the calling shard thread). The cluster runtime lives in
+//! `dema-cluster`, transports in `dema-net`, and the wire format in
+//! `dema-wire`.
 //!
 //! ## Quick example
 //!

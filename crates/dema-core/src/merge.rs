@@ -2,12 +2,18 @@
 //! target rank (§3.1).
 //!
 //! Local nodes ship candidate slices already sorted, so the root never
-//! re-sorts: it performs a k-way merge over the runs with a loser tree
-//! (tournament tree). Emitting the next event costs exactly `⌈log₂ r⌉`
-//! comparisons along one root-to-leaf path — no sift-down branching like a
-//! binary heap — and for quantile lookups the merge stops as soon as the
-//! target position is reached ([`select_kth`]), costing `O(k · log r)` for
-//! `r` runs instead of merging everything.
+//! re-sorts: [`merge_runs`] performs a k-way merge over the runs with a
+//! loser tree (tournament tree). Emitting the next event costs exactly
+//! `⌈log₂ r⌉` comparisons along one root-to-leaf path — no sift-down
+//! branching like a binary heap.
+//!
+//! A quantile lookup ([`select_kth`]) needs one rank, not an order. It
+//! either pops `k` events off the loser tree — `O(k · log r)` for `r` runs —
+//! or gathers the runs into a reused buffer and partitions for position
+//! `k` with `select_nth_unstable` — `O(n)` for `n` candidate events —
+//! whichever its cost rule predicts to be cheaper. [`Event`]'s order is
+//! total, so the event at a position of the merged order is unique and both
+//! routes return the same bytes.
 //!
 //! The pop order is the total `(event, run index)` order, the same
 //! tie-break the previous heap-based merge used, so outputs are
@@ -17,7 +23,7 @@ use std::cell::RefCell;
 
 use crate::error::{DemaError, Result};
 use crate::event::Event;
-use crate::numeric::len_to_u64;
+use crate::numeric::{len_to_u64, u64_to_usize};
 use crate::shared::SharedRun;
 
 /// Sentinel "run index" that loses every match; pads the tournament while
@@ -33,6 +39,10 @@ thread_local! {
     /// `SCRATCH` buffer in [`crate::par`]).
     static SCRATCH: RefCell<(Vec<usize>, Vec<usize>, Vec<usize>)> =
         const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
+
+    /// Gather buffer of [`select_kth`]'s selection route, reused across
+    /// windows for the same reason.
+    static GATHER: RefCell<Vec<Event>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A k-way loser-tree merge cursor over sorted runs.
@@ -174,7 +184,9 @@ pub fn merge_runs<R: AsRef<[Event]>>(runs: &[R]) -> Vec<Event> {
 /// Return the event at 1-based position `k` of the merged order of `runs`
 /// without materializing the merge.
 ///
-/// Like [`merge_runs`], generic over the run container.
+/// Like [`merge_runs`], generic over the run container. Which of the two
+/// routes runs (see the module docs) is decided by [`selection_is_cheaper`]
+/// from `k`, the total length and the run count alone.
 ///
 /// # Errors
 /// [`DemaError::RankOutOfRange`] if `k` is 0 or exceeds the total length.
@@ -187,7 +199,34 @@ pub fn select_kth<R: AsRef<[Event]>>(runs: &[R], k: u64) -> Result<Event> {
     for r in runs {
         debug_assert!(crate::event::is_sorted(r.as_ref()));
     }
-    let found = SCRATCH.with(|s| {
+    let found = if selection_is_cheaper(k, total, runs.len()) {
+        kth_by_selection(runs, k)
+    } else {
+        kth_by_tree(runs, k)
+    };
+    // `None` is unreachable while `k <= total`: both routes see every event.
+    // Kept as an error so a future refactor cannot panic here.
+    found.ok_or(DemaError::RankOutOfRange { rank: k, total })
+}
+
+/// Tree matches one pop costs as much as the copy-and-partition work the
+/// selection route spends on this many gathered events (measured: ~13 ns a
+/// match against ~4.5 ns an event, BENCH_NOTES.md "select_kth").
+const EVENTS_PER_MATCH: u64 = 3;
+
+/// The cost rule of [`select_kth`]: the loser tree plays `⌈log₂ r⌉` matches
+/// for each of the `k` events it pops, the selection route touches each of
+/// the `total` events a constant number of times.
+fn selection_is_cheaper(k: u64, total: u64, runs: usize) -> bool {
+    let matches_per_pop = u64::from(runs.next_power_of_two().trailing_zeros());
+    k.saturating_mul(matches_per_pop)
+        .saturating_mul(EVENTS_PER_MATCH)
+        > total
+}
+
+/// Pop `k` events off the loser tree; the last one is the answer.
+fn kth_by_tree<R: AsRef<[Event]>>(runs: &[R], k: u64) -> Option<Event> {
+    SCRATCH.with(|s| {
         let mut guard = s.borrow_mut();
         let (cursors, tree, winner) = &mut *guard;
         let mut tree = LoserTree::new(runs, cursors, tree, winner);
@@ -199,11 +238,24 @@ pub fn select_kth<R: AsRef<[Event]>>(runs: &[R], k: u64) -> Result<Event> {
             }
         }
         None
-    });
-    // The `None` arm is unreachable while `k <= total`: the tree only drains
-    // after yielding every event. Kept as an error so a future refactor
-    // cannot panic here.
-    found.ok_or(DemaError::RankOutOfRange { rank: k, total })
+    })
+}
+
+/// Gather every run into the thread-local buffer and partition it around
+/// position `k`.
+fn kth_by_selection<R: AsRef<[Event]>>(runs: &[R], k: u64) -> Option<Event> {
+    GATHER.with(|g| {
+        let mut all = g.borrow_mut();
+        all.clear();
+        for r in runs {
+            all.extend_from_slice(r.as_ref());
+        }
+        let at = u64_to_usize(k.checked_sub(1)?);
+        if at >= all.len() {
+            return None;
+        }
+        Some(*all.select_nth_unstable(at).1)
+    })
 }
 
 /// Incrementally merge candidate runs as they arrive, then select a rank.
@@ -509,6 +561,46 @@ mod tests {
             assert!(select_kth(runs, 0).is_err());
             assert!(select_kth(runs, len_to_u64(expect.len()) + 1).is_err());
         }
+    }
+
+    #[test]
+    fn both_select_routes_return_the_loser_tree_answer() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for r in [1usize, 2, 15, 512] {
+            // Every fifth run is empty and every fifth is one event repeated;
+            // the rest are tie-heavy.
+            let runs: Vec<Vec<Event>> = (0..r)
+                .map(|i| match i % 5 {
+                    3 => Vec::new(),
+                    4 => vec![Event::new(7, 3, 9); 6],
+                    _ => {
+                        let mut v: Vec<Event> = (0..1 + next(40))
+                            .map(|_| Event::new(next(12) as i64, next(3), next(1_000)))
+                            .collect();
+                        v.sort_unstable();
+                        v
+                    }
+                })
+                .collect();
+            let n = len_to_u64(runs.iter().map(Vec::len).sum());
+            for k in [1, n.div_ceil(2), n] {
+                let want = oracle::select_kth(&runs, k).unwrap();
+                assert_eq!(kth_by_tree(&runs, k), Some(want), "r={r} k={k}");
+                assert_eq!(kth_by_selection(&runs, k), Some(want), "r={r} k={k}");
+                assert_eq!(select_kth(&runs, k).unwrap(), want, "r={r} k={k}");
+            }
+            // The three ranks sit on both sides of the cost rule.
+            assert!(!selection_is_cheaper(1, n, r));
+            assert_eq!(selection_is_cheaper(n, n, r), r > 1);
+        }
+        assert_eq!(kth_by_tree::<Vec<Event>>(&[], 1), None);
+        assert_eq!(kth_by_selection::<Vec<Event>>(&[], 1), None);
     }
 
     #[test]

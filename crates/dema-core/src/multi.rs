@@ -16,8 +16,7 @@ use crate::invariant;
 use crate::merge::select_kth;
 use crate::numeric::{len_to_u32, len_to_u64};
 use crate::quantile::Quantile;
-use crate::rank::RankIndex;
-use crate::selector::{select, Selection, SelectionStrategy};
+use crate::selector::{checked_total, select, Cut, SelectionStrategy};
 use crate::slice::{SliceId, SliceSynopsis};
 
 /// Plan for answering one rank out of the shared candidate set.
@@ -65,51 +64,60 @@ pub fn select_multi(
     if ranks.is_empty() {
         return Err(DemaError::InvalidQuantile("no ranks requested".into()));
     }
-    let mut candidates: Vec<SliceId> = Vec::new();
-    let mut selections: Vec<Selection> = Vec::with_capacity(ranks.len());
-    for &k in ranks {
+    if let [k] = *ranks {
+        // One rank: the union is that rank's selection.
         let sel = select(synopses, k, strategy)?;
-        candidates.extend(sel.candidates.iter().copied());
-        selections.push(sel);
+        return Ok(MultiSelection {
+            candidates: sel.candidates,
+            plans: vec![RankPlan {
+                rank: k,
+                offset_below: sel.offset_below,
+            }],
+            total_events: sel.total_events,
+            candidate_events: sel.candidate_events,
+        });
     }
-    // Union, keeping the value-interval order produced by `select`.
-    let mut seen = std::collections::HashSet::with_capacity(candidates.len());
-    let mut by_interval: Vec<(i64, i64, SliceId)> = Vec::new();
-    for s in synopses {
-        if candidates.contains(&s.id) && seen.insert(s.id) {
-            by_interval.push((s.first, s.last, s.id));
+    let total = checked_total(synopses, ranks)?;
+    let cuts: Vec<Cut> = ranks.iter().map(|&k| Cut::at(synopses, k)).collect();
+    // Which slices some rank fetches, aligned with `synopses`.
+    let in_union: Vec<bool> = if strategy == SelectionStrategy::WindowCut {
+        synopses
+            .iter()
+            .map(|s| cuts.iter().any(|cut| cut.holds(s)))
+            .collect()
+    } else {
+        let mut fetched = std::collections::HashSet::new();
+        for &k in ranks {
+            fetched.extend(select(synopses, k, strategy)?.candidates);
+        }
+        synopses.iter().map(|s| fetched.contains(&s.id)).collect()
+    };
+    // One pass: union members in value-interval order, and per rank the
+    // unfetched slices provably before it.
+    let mut union: Vec<(i64, i64, SliceId)> = Vec::new();
+    let mut candidate_events = 0u64;
+    let mut offsets = vec![0u64; ranks.len()];
+    for (s, &fetched) in synopses.iter().zip(&in_union) {
+        if fetched {
+            union.push((s.first, s.last, s.id));
+            candidate_events += s.count;
+        } else {
+            for (offset, cut) in offsets.iter_mut().zip(&cuts) {
+                if cut.entirely_before(s) {
+                    *offset += s.count;
+                }
+            }
         }
     }
-    by_interval.sort_unstable();
-    let union: Vec<SliceId> = by_interval.into_iter().map(|(_, _, id)| id).collect();
-    let in_union: std::collections::HashSet<SliceId> = union.iter().copied().collect();
-
-    // Per-rank offsets against the *union*: count unpicked slices that are
-    // provably before each rank.
-    let index = RankIndex::build(synopses);
-    let total = index.total();
-    let candidate_events: u64 = synopses
-        .iter()
-        .filter(|s| in_union.contains(&s.id))
-        .map(|s| s.count)
-        .sum();
-    let plans = ranks
-        .iter()
-        .map(|&k| {
-            let offset_below = synopses
-                .iter()
-                .filter(|s| !in_union.contains(&s.id) && index.interval(s).entirely_before(k))
-                .map(|s| s.count)
-                .sum();
-            RankPlan {
-                rank: k,
-                offset_below,
-            }
-        })
-        .collect();
+    union.sort_unstable();
+    union.dedup();
     Ok(MultiSelection {
-        candidates: union,
-        plans,
+        candidates: union.into_iter().map(|(_, _, id)| id).collect(),
+        plans: ranks
+            .iter()
+            .zip(offsets)
+            .map(|(&rank, offset_below)| RankPlan { rank, offset_below })
+            .collect(),
         total_events: total,
         candidate_events,
     })
@@ -194,6 +202,102 @@ pub fn multi_quantile_decentralized(
 mod tests {
     use super::*;
     use crate::coordinator::quantile_ground_truth;
+
+    /// `select_multi` as it stood before the two-threshold window-cut, over
+    /// the interval-based `select` it called then: the oracle the rewrite
+    /// must match on window-cut inputs.
+    mod oracle {
+        use super::*;
+        use crate::rank::RankIndex;
+        use crate::selector::{oracle::select, Selection};
+
+        pub fn select_multi(synopses: &[SliceSynopsis], ranks: &[u64]) -> Result<MultiSelection> {
+            if ranks.is_empty() {
+                return Err(DemaError::InvalidQuantile("no ranks requested".into()));
+            }
+            let mut candidates: Vec<SliceId> = Vec::new();
+            let mut selections: Vec<Selection> = Vec::with_capacity(ranks.len());
+            for &k in ranks {
+                let sel = select(synopses, k)?;
+                candidates.extend(sel.candidates.iter().copied());
+                selections.push(sel);
+            }
+            // Union, keeping the value-interval order produced by `select`.
+            let mut seen = std::collections::HashSet::with_capacity(candidates.len());
+            let mut by_interval: Vec<(i64, i64, SliceId)> = Vec::new();
+            for s in synopses {
+                if candidates.contains(&s.id) && seen.insert(s.id) {
+                    by_interval.push((s.first, s.last, s.id));
+                }
+            }
+            by_interval.sort_unstable();
+            let union: Vec<SliceId> = by_interval.into_iter().map(|(_, _, id)| id).collect();
+            let in_union: std::collections::HashSet<SliceId> = union.iter().copied().collect();
+
+            // Per-rank offsets against the *union*: count unpicked slices that are
+            // provably before each rank.
+            let index = RankIndex::build(synopses);
+            let total = index.total();
+            let candidate_events: u64 = synopses
+                .iter()
+                .filter(|s| in_union.contains(&s.id))
+                .map(|s| s.count)
+                .sum();
+            let plans = ranks
+                .iter()
+                .map(|&k| {
+                    let offset_below = synopses
+                        .iter()
+                        .filter(|s| {
+                            !in_union.contains(&s.id) && index.interval(s).entirely_before(k)
+                        })
+                        .map(|s| s.count)
+                        .sum();
+                    RankPlan {
+                        rank: k,
+                        offset_below,
+                    }
+                })
+                .collect();
+            Ok(MultiSelection {
+                candidates: union,
+                plans,
+                total_events: total,
+                candidate_events,
+            })
+        }
+    }
+
+    #[test]
+    fn one_to_three_ranks_equal_the_interval_oracle() {
+        use crate::selector::oracle::{random_set, synopsis_sets, RngExt, SeedableRng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut sets: Vec<Vec<SliceSynopsis>> =
+            synopsis_sets().into_iter().map(|(_, set)| set).collect();
+        sets.extend((0..300).map(|_| random_set(&mut rng)));
+        for set in &sets {
+            let total: u64 = set.iter().map(|s| s.count).sum();
+            for n_ranks in 1..=3 {
+                for _ in 0..8 {
+                    // Mostly valid ranks, in any order, repeats allowed;
+                    // now and then one out of range.
+                    let ranks: Vec<u64> = (0..n_ranks)
+                        .map(|_| rng.random_range(0..total + 2))
+                        .collect();
+                    assert_eq!(
+                        select_multi(set, &ranks, SelectionStrategy::WindowCut),
+                        oracle::select_multi(set, &ranks),
+                        "ranks {ranks:?} of {total} over {set:?}"
+                    );
+                }
+            }
+            let edges = [1, total.div_ceil(2), total];
+            assert_eq!(
+                select_multi(set, &edges, SelectionStrategy::WindowCut),
+                oracle::select_multi(set, &edges)
+            );
+        }
+    }
 
     fn events(vals: &[i64]) -> Vec<Event> {
         vals.iter()

@@ -1,65 +1,34 @@
-//! Deterministic parallel sort for the per-window hot path.
+//! The per-window sort of the local hot path.
 //!
 //! The local node's dominant per-window cost is sorting the window buffer
 //! before [`crate::slice::cut_into_slices`] carves it into γ-sized slices.
-//! This module parallelizes that sort over a small process-wide worker
-//! pool while keeping the output **bit-identical** to
-//! `slice::sort_unstable()` — including the order of fully duplicate
-//! events — so every downstream golden test, traffic counter, and the
-//! bounded interleaving explorer see exactly the serial behaviour.
+//! Each window is sorted inline, on the shard thread that owns its leaf:
+//! a run's threads are the root plus its shards ([`default_threads`]) and
+//! nothing else. A chunk-and-merge worker pool used to sit behind
+//! [`sort_events_with`]; it never beat the inline sort at any measured
+//! `(n, threads)` — the loser-tree recombine costs as much per event as
+//! the radix sort it follows (BENCH_NOTES.md, "parallel vs inline") — and
+//! was deleted.
 //!
 //! ## Determinism argument
 //!
-//! [`Event`] derives a *total* order (`value`, then `ts`, then `id`), so a
-//! sorted sequence of any multiset of events is unique: equal elements are
-//! byte-identical and indistinguishable under any permutation. Chunk
-//! boundaries are derived from the requested thread count and the input
-//! length alone (`c·n/t`), never from pool size or thread timing, and the
-//! chunks are reassembled with [`crate::merge::merge_runs`], whose
-//! `(event, run-index)` tie-break is itself deterministic. Two runs with
-//! `DEMA_THREADS=1` and `DEMA_THREADS=64` therefore produce the same
-//! bytes; only wall-clock changes.
+//! [`Event`] derives a *total* order (`value`, then `ts`, then `id`), so
+//! the sorted sequence of any multiset of events is unique: equal
+//! elements are byte-identical. Any correct sort therefore yields the one
+//! sorted permutation, bit-identical to `slice::sort_unstable()`.
 //!
 //! ## Run sort
 //!
-//! The per-run primitive [`sort_run`] is span-adaptive: windows whose
-//! values fit a 32-bit band (every sensor workload in the paper) take an
-//! LSD radix sort over packed `(value offset, original index)` u64 keys —
-//! 11-bit digits, one to three O(n) passes — followed by a gather and a
-//! `(ts, id)` tie-break pass over equal-value runs. Wider spans fall back
-//! to `sort_unstable`. Because [`Event`]'s order is total, both paths
-//! yield the identical permutation; the radix path only changes
-//! wall-clock.
-//!
-//! ## Pool shape
-//!
-//! Workers are spawned lazily on first parallel sort and share one job
-//! queue (a `VecDeque` behind the ranked [`sync::Mutex`](crate::sync),
-//! signalled through a [`sync::Condvar`](crate::sync)): an idle worker
-//! waits on the condvar and steals the next chunk the moment it is
-//! queued, so load balances across concurrent windows without any
-//! per-window thread spawns. Inputs below [`PAR_SORT_MIN`] skip dispatch
-//! entirely and sort inline — chunking overhead would dominate.
-//!
-//! [`Pool`] has an explicit lifecycle: dropping a scoped pool latches
-//! shutdown, drains the queued jobs, and joins every worker, and a
-//! process-wide registry ([`pool_stats`]) counts worker spawns/exits so
-//! tests can prove repeated cluster runs neither leak threads nor
-//! poison the queue. The shared pool used by [`sort_events`] lives in a
-//! static and is reused for the process lifetime.
+//! [`sort_run`] is span-adaptive: windows whose values fit a 32-bit band
+//! (every sensor workload in the paper) take an LSD radix sort over packed
+//! `(value offset, original index)` u64 keys — 11-bit digits, one to three
+//! O(n) passes — followed by a gather and a `(ts, id)` tie-break pass over
+//! equal-value runs. Wider spans fall back to `sort_unstable`.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::event::Event;
-use crate::sync::{rank, Condvar, Mutex};
-
-/// Inputs shorter than this sort inline on the calling thread: below a few
-/// thousand events the channel round trip and the final k-way merge cost
-/// more than the sort itself (see BENCH_NOTES.md, "parallel hot path").
-pub const PAR_SORT_MIN: usize = 8192;
 
 /// Runs shorter than this use `sort_unstable` directly inside
 /// [`sort_run`]: the radix key build and gather passes cost more than a
@@ -78,156 +47,10 @@ const BUCKETS: usize = 1 << DIGIT_BITS;
 /// callers; a larger request is clamped, not an error.
 pub const MAX_THREADS: usize = 64;
 
-/// A unit of pool work: sort one owned chunk and ship it back.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Job queue plus the shutdown latch, guarded by the `par.queue` rank.
-struct PoolState {
-    queue: VecDeque<Job>,
-    shutdown: bool,
-}
-
-/// State shared between a pool's handle and its workers.
-struct PoolShared {
-    state: Mutex<PoolState>,
-    work_ready: Condvar,
-    /// Workers of *this* pool currently inside their worker loop;
-    /// exactly zero once [`Pool::drop`] has joined them.
-    live: AtomicUsize,
-}
-
-/// Workers ever spawned, process-wide (monotonic; bumped synchronously
-/// by [`Pool::new`] on the spawning thread).
-static SPAWNED: AtomicUsize = AtomicUsize::new(0);
-
-/// Workers currently running, process-wide (entry/exit accounting done
-/// by the worker thread itself, panic-safe via [`LiveToken`]).
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// Snapshot of the worker registry across every [`Pool`] in the process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Workers spawned since process start (monotonic).
-    pub spawned: usize,
-    /// Workers currently running their loop.
-    pub live: usize,
-}
-
-/// Read the process-wide worker registry.
-///
-/// Lifecycle tests compare `spawned` across repeated cluster runs: the
-/// shared pool is spawned once, so the count must not grow run-over-run.
-pub fn pool_stats() -> PoolStats {
-    PoolStats {
-        spawned: SPAWNED.load(Ordering::SeqCst),
-        live: LIVE.load(Ordering::SeqCst),
-    }
-}
-
-/// Registers a worker as live on construction and, however the worker
-/// exits (shutdown or a panicking job), deregisters it on drop.
-struct LiveToken<'a> {
-    shared: &'a PoolShared,
-}
-
-impl<'a> LiveToken<'a> {
-    fn register(shared: &'a PoolShared) -> LiveToken<'a> {
-        LIVE.fetch_add(1, Ordering::SeqCst);
-        shared.live.fetch_add(1, Ordering::SeqCst);
-        LiveToken { shared }
-    }
-}
-
-impl Drop for LiveToken<'_> {
-    fn drop(&mut self) {
-        self.shared.live.fetch_sub(1, Ordering::SeqCst);
-        LIVE.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// A sort worker pool with an explicit shutdown path.
-///
-/// The shared pool behind [`sort_events`] lives in a static and is never
-/// dropped; a scoped pool shuts down deterministically in `Drop` — the
-/// shutdown latch is set under the queue lock, every worker is woken,
-/// queued jobs drain, and the worker threads are joined, so no worker
-/// thread ever outlives its pool.
-pub struct Pool {
-    /// Workers actually running (spawn failures only shrink the pool).
-    workers: usize,
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Pool {
-    /// Spawn a pool with up to `target` workers. Spawn failures shrink
-    /// the pool instead of erroring; callers fall back to inline sorting
-    /// when [`Pool::workers`] reports zero.
-    pub fn new(target: usize) -> Pool {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(
-                rank::PAR_QUEUE,
-                PoolState {
-                    queue: VecDeque::new(),
-                    shutdown: false,
-                },
-            ),
-            work_ready: Condvar::new(),
-            live: AtomicUsize::new(0),
-        });
-        let mut handles = Vec::with_capacity(target);
-        for i in 0..target {
-            let shared = Arc::clone(&shared);
-            let spawned = std::thread::Builder::new()
-                .name(format!("dema-par-{i}"))
-                .spawn(move || {
-                    let _live = LiveToken::register(&shared);
-                    worker_loop(&shared);
-                });
-            if let Ok(handle) = spawned {
-                SPAWNED.fetch_add(1, Ordering::SeqCst);
-                handles.push(handle);
-            }
-        }
-        Pool {
-            workers: handles.len(),
-            shared: Arc::clone(&shared),
-            handles,
-        }
-    }
-
-    /// Number of workers actually running.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Queue one job and wake an idle worker.
-    fn submit(&self, job: Job) {
-        {
-            let mut state = self.shared.state.lock();
-            state.queue.push_back(job);
-        }
-        self.shared.work_ready.notify_one();
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock();
-            state.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Thread count used when the caller does not pass one explicitly:
+/// Shard count used when the caller does not pass one explicitly:
 /// `DEMA_THREADS` when set to a positive integer (clamped to
 /// [`MAX_THREADS`]), else the machine's available parallelism capped at 4.
-/// Latched on first use so every sort in a process agrees.
+/// Latched on first use so every run in a process agrees.
 pub fn default_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -245,38 +68,6 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// The shared pool, spawned on first use with `default_threads() - 1`
-/// workers (the calling thread always sorts one chunk itself).
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool::new(default_threads().saturating_sub(1)))
-}
-
-/// Worker body: steal queued jobs until shutdown. The queue guard is
-/// dropped before the job runs, so jobs execute lock-free; waiting
-/// happens inside [`Condvar::wait`], which releases the queue lock (and
-/// its tracker rank) for the duration of the block.
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let job = {
-            let mut state = shared.state.lock();
-            loop {
-                if let Some(job) = state.queue.pop_front() {
-                    break Some(job);
-                }
-                if state.shutdown {
-                    break None;
-                }
-                state = shared.work_ready.wait(state);
-            }
-        };
-        match job {
-            Some(job) => job(),
-            None => return,
-        }
-    }
-}
-
 thread_local! {
     /// Reused radix scratch — two key/index ping-pong lanes plus the event
     /// gather buffer — so steady-state window sorts allocate nothing.
@@ -284,8 +75,7 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
-/// Sort one run in place on the calling thread — the single-threaded
-/// primitive under both the serial path and the pool's chunk jobs.
+/// Sort one run in place on the calling thread.
 ///
 /// Dispatches on the observed value *span*: sensor-style streams (values
 /// inside a narrow band, whatever their absolute offset) take an LSD
@@ -371,104 +161,21 @@ pub fn sort_run(events: &mut [Event]) {
     }
 }
 
-/// Sort `events` ascending by the derived total [`Event`] order using the
-/// process default thread count ([`default_threads`]).
+/// Sort `events` ascending by the derived total [`Event`] order.
 ///
-/// Output is bit-identical to `events.sort_unstable()` for every thread
-/// count — see the module docs for the argument.
-pub fn sort_events(events: &mut Vec<Event>) {
-    sort_events_with(events, default_threads());
+/// Output is bit-identical to `events.sort_unstable()` — see the module
+/// docs for the argument.
+pub fn sort_events(events: &mut [Event]) {
+    sort_run(events);
 }
 
-/// Sort `events` with an explicit `threads` request.
-///
-/// Chunk boundaries depend only on `threads` and `events.len()`, so the
-/// result — and even the intermediate run set — is reproducible across
-/// machines and pool sizes. Falls back to an inline `sort_unstable` when
-/// `threads <= 1`, the input is below [`PAR_SORT_MIN`], or no pool worker
-/// could be spawned.
-pub fn sort_events_with(events: &mut Vec<Event>, threads: usize) {
-    let _phase = crate::alloc::enter_phase(crate::alloc::Phase::Sort);
-    let n = events.len();
-    let t = threads.clamp(1, MAX_THREADS);
-    if t <= 1 || n < PAR_SORT_MIN {
-        sort_run(events);
-        return;
-    }
-    let pool = pool();
-    if pool.workers == 0 {
-        sort_run(events);
-        return;
-    }
-
-    // Deterministic split: chunk c covers [c·n/t, (c+1)·n/t). Peeling from
-    // the back with `split_off` moves ownership without copying events.
-    let mut parts: Vec<Vec<Event>> = Vec::with_capacity(t);
-    for c in (1..t).rev() {
-        parts.push(events.split_off(c * n / t));
-    }
-    parts.push(std::mem::take(events));
-    parts.reverse();
-
-    // Per-call result collector: each job deposits its sorted chunk in
-    // its slot and wakes the caller once every slot is filled. Bounded
-    // by construction (t - 1 slots), unlike the old per-call unbounded
-    // done-channel.
-    struct BatchState {
-        slots: Vec<Option<Vec<Event>>>,
-        filled: usize,
-    }
-    struct SortBatch {
-        slots: Mutex<BatchState>,
-        done: Condvar,
-    }
-    let batch = Arc::new(SortBatch {
-        slots: Mutex::new(
-            rank::PAR_RESULTS,
-            BatchState {
-                slots: (1..t).map(|_| None).collect(),
-                filled: 0,
-            },
-        ),
-        done: Condvar::new(),
-    });
-
-    let mut first = Vec::new();
-    for (pos, mut chunk) in parts.into_iter().enumerate() {
-        if pos == 0 {
-            first = chunk;
-            continue;
-        }
-        let batch = Arc::clone(&batch);
-        let job: Job = Box::new(move || {
-            sort_run(&mut chunk);
-            {
-                let mut state = batch.slots.lock();
-                state.slots[pos - 1] = Some(chunk);
-                state.filled += 1;
-            }
-            batch.done.notify_one();
-        });
-        pool.submit(job);
-    }
-
-    // The calling thread is worker zero.
-    sort_run(&mut first);
-
-    let sorted_rest = {
-        let mut state = batch.slots.lock();
-        while state.filled < t - 1 {
-            state = batch.done.wait(state);
-        }
-        std::mem::take(&mut state.slots)
-    };
-
-    let mut runs: Vec<Vec<Event>> = Vec::with_capacity(t);
-    runs.push(first);
-    // Every slot is Some once filled == t - 1; the default is unreachable.
-    runs.extend(sorted_rest.into_iter().map(Option::unwrap_or_default));
-    *events = crate::merge::merge_runs(&runs);
-    debug_assert_eq!(events.len(), n);
+/// [`sort_events`] under the signature the cluster engines and the layer
+/// walk call. The sort runs inline on the calling shard thread whatever
+/// `_threads` says; the argument is kept so those callers compile
+/// unchanged.
+#[allow(clippy::ptr_arg)] // the signature is the contract here
+pub fn sort_events_with(events: &mut Vec<Event>, _threads: usize) {
+    sort_run(events);
 }
 
 #[cfg(test)]
@@ -492,11 +199,13 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_across_thread_counts() {
-        for n in [0, 1, PAR_SORT_MIN - 1, PAR_SORT_MIN, 3 * PAR_SORT_MIN + 17] {
+        // The thread argument is accepted and ignored: every request sorts
+        // inline and yields the bytes `sort_unstable` yields.
+        for n in [0, 1, 64, RADIX_MIN - 1, RADIX_MIN, 8_191, 8_192, 24_593] {
             let base = scrambled(n);
             let mut expect = base.clone();
             expect.sort_unstable();
-            for t in [1, 2, 3, 4, 7, MAX_THREADS] {
+            for t in [0, 1, 2, 4, MAX_THREADS, usize::MAX] {
                 let mut got = base.clone();
                 sort_events_with(&mut got, t);
                 assert_eq!(got, expect, "n={n} t={t}");
@@ -506,7 +215,7 @@ mod tests {
 
     #[test]
     fn fully_duplicate_events_stay_bit_identical() {
-        let base: Vec<Event> = (0..2 * PAR_SORT_MIN).map(|_| Event::new(7, 3, 9)).collect();
+        let base: Vec<Event> = (0..16_384).map(|_| Event::new(7, 3, 9)).collect();
         let mut expect = base.clone();
         expect.sort_unstable();
         let mut got = base;
@@ -577,62 +286,11 @@ mod tests {
 
     #[test]
     fn env_default_entry_point_sorts() {
-        let mut v = scrambled(PAR_SORT_MIN + 5);
+        let mut v = scrambled(8_197);
         let mut expect = v.clone();
         expect.sort_unstable();
         sort_events(&mut v);
         assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn scoped_pool_drains_queue_then_joins_every_worker() {
-        let pool = Pool::new(4);
-        assert!(pool.workers() <= 4);
-        let shared = Arc::clone(&pool.shared);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..16 {
-            let hits = Arc::clone(&hits);
-            pool.submit(Box::new(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        drop(pool);
-        // Drop drains queued jobs before shutdown, then joins: every job
-        // ran and no worker thread outlives its pool.
-        assert_eq!(hits.load(Ordering::SeqCst), 16, "queued jobs must drain");
-        assert_eq!(shared.live.load(Ordering::SeqCst), 0, "worker leaked");
-    }
-
-    #[test]
-    fn repeated_scoped_pools_leave_the_live_count_flat() {
-        for _ in 0..3 {
-            let pool = Pool::new(2);
-            let shared = Arc::clone(&pool.shared);
-            pool.submit(Box::new(|| {}));
-            drop(pool);
-            assert_eq!(shared.live.load(Ordering::SeqCst), 0);
-        }
-    }
-
-    #[test]
-    fn shared_pool_is_reused_across_repeated_sorts() {
-        // Force the shared pool into existence, then sort again: the
-        // registry's monotonic spawn count must not grow run-over-run.
-        let mut v = scrambled(2 * PAR_SORT_MIN);
-        sort_events_with(&mut v, 4);
-        let spawned_after_first = pool_stats().spawned;
-        for _ in 0..2 {
-            let mut w = scrambled(2 * PAR_SORT_MIN);
-            let mut expect = w.clone();
-            expect.sort_unstable();
-            sort_events_with(&mut w, 4);
-            assert_eq!(w, expect);
-        }
-        assert_eq!(
-            pool_stats().spawned,
-            spawned_after_first,
-            "shared pool must be spawned once per process"
-        );
     }
 
     #[test]
@@ -653,16 +311,5 @@ mod tests {
             "steady-state sort_run must reuse the thread-local scratch"
         );
         assert_eq!(warm, next);
-    }
-
-    #[test]
-    fn below_crossover_never_touches_the_pool() {
-        // Indirect but sufficient: tiny inputs sort correctly even with an
-        // absurd thread request — the inline path ignores it.
-        let mut v = scrambled(64);
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        sort_events_with(&mut v, MAX_THREADS);
-        assert_eq!(v, expect);
     }
 }

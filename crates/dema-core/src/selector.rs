@@ -23,8 +23,9 @@
 //! Three strategies are provided:
 //!
 //! * [`SelectionStrategy::WindowCut`] — the rank-bound form above; the
-//!   tightest set, `O(S log S)`. This is the default and the paper's
-//!   window-cut algorithm in its exact formulation.
+//!   tightest set. This is the default and the paper's window-cut
+//!   algorithm in its exact formulation. It never materialises an interval
+//!   per slice: two values cut the window ([`Cut`]), found in `O(S)`.
 //! * [`SelectionStrategy::ClassifiedScan`] — a faithful rendering of the
 //!   paper's Algorithm 1: classify slices (separate / compound / cover),
 //!   locate the overlap group holding `k`, then scan from the group's left
@@ -86,19 +87,118 @@ pub fn select(
     k: u64,
     strategy: SelectionStrategy,
 ) -> Result<Selection> {
-    let total: u64 = synopses.iter().map(|s| s.count).sum();
-    if total == 0 {
-        return Err(DemaError::EmptyWindow);
-    }
-    if k == 0 || k > total {
-        return Err(DemaError::RankOutOfRange { rank: k, total });
-    }
+    let total = checked_total(synopses, &[k])?;
     let picked: Vec<usize> = match strategy {
-        SelectionStrategy::WindowCut => window_cut(synopses, k),
+        SelectionStrategy::WindowCut => return Ok(window_cut(synopses, k, total)),
         SelectionStrategy::ClassifiedScan => classified_scan(synopses, k),
         SelectionStrategy::NoCut => no_cut(synopses, k),
     };
     finish(synopses, k, total, picked)
+}
+
+/// The window-cut at one rank `k`, as two values instead of a rank interval
+/// per slice.
+///
+/// `lo` is the smallest value `v` with `Σ count·[first ≤ v] ≥ k` and `hi`
+/// the smallest `v` with `Σ count·[last ≤ v] ≥ k`. Both sums only grow with
+/// `v`, so against the intervals of [`crate::rank`], for a slice `S`:
+///
+/// * `max_end(S) = Σ count·[first ≤ last(S)] < k` iff `last(S) < lo` — `S`
+///   ranks entirely before `k`;
+/// * `min_start(S) − 1 = Σ count·[last < first(S)] ≥ k` iff `first(S) > hi`
+///   — `S` ranks entirely after `k`;
+/// * otherwise `min_start(S) ≤ k ≤ max_end(S)`: `S` is a candidate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cut {
+    lo: i64,
+    hi: i64,
+}
+
+impl Cut {
+    /// Cut the window described by `synopses` at rank `k`, which must lie
+    /// in `1..=l_G`.
+    pub(crate) fn at(synopses: &[SliceSynopsis], k: u64) -> Cut {
+        let mut ends: Vec<(i64, u64)> = synopses.iter().map(|s| (s.first, s.count)).collect();
+        let lo = weighted_kth(&mut ends, k);
+        for (end, s) in ends.iter_mut().zip(synopses) {
+            *end = (s.last, s.count);
+        }
+        let hi = weighted_kth(&mut ends, k);
+        Cut { lo, hi }
+    }
+
+    /// `true` if every event of `s` is certain to rank before `k`.
+    #[inline]
+    pub(crate) fn entirely_before(&self, s: &SliceSynopsis) -> bool {
+        s.last < self.lo
+    }
+
+    /// `true` if rank `k` may fall inside `s`.
+    #[inline]
+    pub(crate) fn holds(&self, s: &SliceSynopsis) -> bool {
+        s.last >= self.lo && s.first <= self.hi
+    }
+}
+
+/// The smallest value among `ends` at which the counts of all entries with
+/// a value at or below it sum to at least `k`; the largest value if they
+/// never do. Quickselect on the values, steered by the counts: expected
+/// `O(n)`, reorders `ends`.
+fn weighted_kth(ends: &mut [(i64, u64)], mut k: u64) -> i64 {
+    let mut rest = ends;
+    loop {
+        if rest.is_empty() {
+            return i64::MAX; // an empty input; `k ≤ l_G` rules it out
+        }
+        let (left, pivot, right) = rest.select_nth_unstable(rest.len() / 2);
+        let below: u64 = left.iter().map(|e| e.1).sum();
+        if k <= below {
+            rest = left;
+        } else if k <= below + pivot.1 || right.is_empty() {
+            return pivot.0;
+        } else {
+            k -= below + pivot.1;
+            rest = right;
+        }
+    }
+}
+
+/// Two-threshold window-cut: one pass sorts every slice into before /
+/// candidate / after.
+fn window_cut(synopses: &[SliceSynopsis], k: u64, total: u64) -> Selection {
+    let cut = Cut::at(synopses, k);
+    let mut offset_below = 0u64;
+    let mut candidate_events = 0u64;
+    let mut picked: Vec<&SliceSynopsis> = Vec::new();
+    for s in synopses {
+        if cut.entirely_before(s) {
+            offset_below += s.count;
+        } else if cut.holds(s) {
+            candidate_events += s.count;
+            picked.push(s);
+        }
+    }
+    picked.sort_unstable_by_key(|s| (s.first, s.last, s.id));
+    Selection {
+        candidates: picked.iter().map(|s| s.id).collect(),
+        offset_below,
+        candidate_events,
+        total_events: total,
+        target_rank: k,
+    }
+}
+
+/// The global window size `l_G` the synopses imply, once every rank of
+/// `ranks` is known to lie in `1..=l_G`.
+pub(crate) fn checked_total(synopses: &[SliceSynopsis], ranks: &[u64]) -> Result<u64> {
+    let total: u64 = synopses.iter().map(|s| s.count).sum();
+    if total == 0 {
+        return Err(DemaError::EmptyWindow);
+    }
+    match ranks.iter().find(|&&k| k == 0 || k > total) {
+        Some(&rank) => Err(DemaError::RankOutOfRange { rank, total }),
+        None => Ok(total),
+    }
 }
 
 /// Assemble the [`Selection`] from picked indices, computing the offset over
@@ -141,18 +241,6 @@ fn finish(
         total_events: total,
         target_rank: k,
     })
-}
-
-/// Rank-bound window-cut: pick exactly the slices whose rank interval
-/// contains `k`.
-fn window_cut(synopses: &[SliceSynopsis], k: u64) -> Vec<usize> {
-    let index = RankIndex::build(synopses);
-    synopses
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| index.interval(s).contains(k))
-        .map(|(i, _)| i)
-        .collect()
 }
 
 /// Whole-overlap-group selection (ablation baseline).
@@ -224,6 +312,156 @@ fn classified_scan(synopses: &[SliceSynopsis], k: u64) -> Vec<usize> {
         }
     }
     (0..synopses.len()).filter(|&i| keep[i]).collect()
+}
+
+/// The rank-interval window-cut `select` ran before the two-threshold form
+/// — one [`RankIndex`] interval per synopsis, then [`finish`]'s independent
+/// offset and safety pass — kept verbatim as the oracle the rewrite must
+/// match, with the seeded synopsis sets both differential suites
+/// (`select` here, `select_multi` in [`crate::multi`]) run over.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::event::{Event, NodeId, WindowId};
+    use crate::slice::cut_into_slices;
+    pub(crate) use rand::rngs::SmallRng;
+    pub(crate) use rand::{RngExt, SeedableRng};
+
+    pub(crate) fn select(synopses: &[SliceSynopsis], k: u64) -> Result<Selection> {
+        let total: u64 = synopses.iter().map(|s| s.count).sum();
+        if total == 0 {
+            return Err(DemaError::EmptyWindow);
+        }
+        if k == 0 || k > total {
+            return Err(DemaError::RankOutOfRange { rank: k, total });
+        }
+        let index = RankIndex::build(synopses);
+        let picked = synopses
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| index.interval(s).contains(k))
+            .map(|(i, _)| i)
+            .collect();
+        finish(synopses, k, total, picked)
+    }
+
+    /// The synopses real leaves would ship: each node's values sorted, cut
+    /// into γ-sized slices, in node order (so *not* ordered by interval).
+    /// A node without values ships nothing.
+    pub(crate) fn window(nodes: &[Vec<i64>], gamma: u64) -> Vec<SliceSynopsis> {
+        let mut synopses = Vec::new();
+        for (n, values) in nodes.iter().enumerate() {
+            let mut events: Vec<Event> = values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| Event::new(v, 0, i as u64))
+                .collect();
+            events.sort_unstable();
+            let slices = cut_into_slices(NodeId(n as u32), WindowId(0), events, gamma).unwrap();
+            for s in &slices {
+                synopses.push(s.synopsis(slices.len() as u32).unwrap());
+            }
+        }
+        synopses
+    }
+
+    fn values(rng: &mut SmallRng, n: u64, base: i64, span: u64) -> Vec<i64> {
+        (0..n)
+            .map(|_| base.wrapping_add(rng.random_range(0..span) as i64))
+            .collect()
+    }
+
+    /// Named synopsis sets covering the shapes the window-cut must get
+    /// right; `small` sets are cheap enough to try at every rank.
+    pub(crate) fn synopsis_sets() -> Vec<(&'static str, Vec<SliceSynopsis>)> {
+        let mut rng = SmallRng::seed_from_u64(22);
+        let mut sets = vec![
+            (
+                "heavy ties",
+                window(
+                    &(0..4)
+                        .map(|_| values(&mut rng, 60, 0, 5))
+                        .collect::<Vec<_>>(),
+                    4,
+                ),
+            ),
+            ("all equal", window(&vec![vec![42; 30]; 3], 4)),
+            (
+                "extreme values",
+                window(
+                    &[
+                        vec![i64::MIN, i64::MIN, i64::MIN + 1, -1, 0, i64::MAX],
+                        vec![i64::MIN, 0, 1, i64::MAX - 1, i64::MAX, i64::MAX],
+                        vec![i64::MAX; 5],
+                    ],
+                    2,
+                ),
+            ),
+            (
+                "one node holds the window",
+                window(&[values(&mut rng, 90, -40, 80)], 8),
+            ),
+            (
+                "empty nodes between busy ones",
+                window(
+                    &[
+                        vec![],
+                        values(&mut rng, 35, 0, 50),
+                        vec![],
+                        vec![],
+                        values(&mut rng, 20, 25, 50),
+                        vec![7],
+                    ],
+                    6,
+                ),
+            ),
+            (
+                "one slice per node x 512 nodes",
+                window(
+                    &(0..512)
+                        .map(|_| {
+                            let base = rng.random_range(0..200i64);
+                            values(&mut rng, 3, base, 40)
+                        })
+                        .collect::<Vec<_>>(),
+                    64,
+                ),
+            ),
+        ];
+        // The same shapes the root sees after stage 1 (interval order) and
+        // in a scrambled arrival order.
+        let mut ordered = sets[0].1.clone();
+        ordered.sort_unstable_by_key(|s| (s.first, s.last, s.id));
+        sets.push(("ordered by interval", ordered));
+        let mut scrambled = sets[3].1.clone();
+        for i in (1..scrambled.len()).rev() {
+            scrambled.swap(i, rng.random_range(0..=i));
+        }
+        sets.push(("scrambled order", scrambled));
+        sets
+    }
+
+    /// Arbitrary overlapping intervals (covers, chains, touching
+    /// endpoints), not derived from events: tie-heavy and small.
+    pub(crate) fn random_set(rng: &mut SmallRng) -> Vec<SliceSynopsis> {
+        let n = rng.random_range(1..15u32);
+        (0..n)
+            .map(|i| {
+                let first = rng.random_range(-6..6i64);
+                SliceSynopsis {
+                    id: SliceId {
+                        node: NodeId(rng.random_range(0..4u32)),
+                        window: WindowId(0),
+                        index: i,
+                    },
+                    first,
+                    last: first + rng.random_range(0..5i64),
+                    count: rng.random_range(1..7u64),
+                    total_slices: 0,
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -436,6 +674,67 @@ mod tests {
             let sel = select(&s, 50, strat).unwrap();
             assert_eq!(sel.candidates, vec![s[0].id]);
             assert_eq!(sel.offset_below, 0);
+        }
+    }
+
+    #[test]
+    fn two_threshold_cut_equals_the_interval_oracle_at_every_rank() {
+        for (name, set) in oracle::synopsis_sets() {
+            let total: u64 = set.iter().map(|s| s.count).sum();
+            for k in 0..=total + 1 {
+                assert_eq!(
+                    select(&set, k, SelectionStrategy::WindowCut),
+                    oracle::select(&set, k),
+                    "{name}: rank {k} of {total}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn two_threshold_cut_equals_the_interval_oracle_on_random_overlaps() {
+        use oracle::SeedableRng;
+        let mut rng = oracle::SmallRng::seed_from_u64(1);
+        for round in 0..2_000 {
+            let set = oracle::random_set(&mut rng);
+            let total: u64 = set.iter().map(|s| s.count).sum();
+            for k in 1..=total {
+                assert_eq!(
+                    select(&set, k, SelectionStrategy::WindowCut),
+                    oracle::select(&set, k),
+                    "round {round}: rank {k} of {set:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_kth_finds_the_value_the_prefix_sums_name() {
+        use oracle::{RngExt, SeedableRng};
+        let mut rng = oracle::SmallRng::seed_from_u64(7);
+        for _ in 0..500 {
+            let n = rng.random_range(1..41usize);
+            let ends: Vec<(i64, u64)> = (0..n)
+                .map(|_| (rng.random_range(-4..5i64), rng.random_range(0..4u64)))
+                .collect();
+            let mut sorted = ends.clone();
+            sorted.sort_unstable();
+            let total: u64 = ends.iter().map(|e| e.1).sum();
+            for k in 1..=total {
+                let mut acc = 0;
+                let want = sorted
+                    .iter()
+                    .find(|e| {
+                        acc += e.1;
+                        acc >= k
+                    })
+                    .map(|e| e.0);
+                assert_eq!(
+                    Some(weighted_kth(&mut ends.clone(), k)),
+                    want,
+                    "{ends:?} k={k}"
+                );
+            }
         }
     }
 }

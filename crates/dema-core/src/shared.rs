@@ -8,7 +8,7 @@
 //! are immutable once sorted.
 //!
 //! [`SharedRun`] replaces those copies with a view into one shared,
-//! immutable buffer: an `Arc<[Event]>` plus a sub-range. Cloning bumps a
+//! immutable buffer: an `Arc<Vec<Event>>` plus a sub-range. Cloning bumps a
 //! refcount; slicing a window into γ-sized slices produces views over a
 //! single allocation. `Deref<Target = [Event]>` keeps every read-only call
 //! site (`len`, `first`, `iter`, indexing) source-compatible with the old
@@ -25,7 +25,7 @@ use crate::event::Event;
 /// [`SharedRun::ptr_eq`] to check whether two runs share a backing buffer.
 #[derive(Clone)]
 pub struct SharedRun {
-    buf: Arc<[Event]>,
+    buf: Arc<Vec<Event>>,
     start: usize,
     end: usize,
 }
@@ -34,18 +34,18 @@ impl SharedRun {
     /// An empty run (no allocation is shared).
     pub fn empty() -> SharedRun {
         SharedRun {
-            buf: Arc::from(Vec::new()),
+            buf: Arc::new(Vec::new()),
             start: 0,
             end: 0,
         }
     }
 
-    /// Wrap an owned buffer. The `Vec` is moved into the shared allocation
-    /// without copying individual events beyond the one-time `Arc` setup.
+    /// Wrap an owned buffer. The `Vec` itself is held, so its heap block
+    /// becomes the shared buffer: no event is copied.
     pub fn from_vec(events: Vec<Event>) -> SharedRun {
         let end = events.len();
         SharedRun {
-            buf: Arc::from(events),
+            buf: Arc::new(events),
             start: 0,
             end,
         }
@@ -177,6 +177,14 @@ mod tests {
         assert_eq!(run[2].value, 2);
         let vals: Vec<i64> = run.iter().map(|e| e.value).collect();
         assert_eq!(vals, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn from_vec_holds_the_moved_buffer() {
+        let owned = events(100);
+        let ptr = owned.as_ptr();
+        let run = SharedRun::from_vec(owned);
+        assert!(std::ptr::eq(run.as_slice().as_ptr(), ptr));
     }
 
     #[test]

@@ -150,9 +150,9 @@ impl Slice {
 /// at least two events, since a synopsis needs two endpoints); a window with
 /// exactly one event yields one single-event slice as a degenerate case.
 ///
-/// The sorted buffer is moved into a single shared allocation; every slice
-/// is a [`SharedRun`] view into it, so cutting is O(slices), not O(events),
-/// and no event is ever copied.
+/// The sorted buffer itself becomes the shared allocation; every slice is a
+/// [`SharedRun`] view into it, so cutting is O(slices), not O(events), and
+/// no event is ever copied.
 ///
 /// # Errors
 /// * [`DemaError::InvalidGamma`] if `gamma < 2`.
@@ -376,8 +376,12 @@ mod tests {
     #[test]
     fn slices_share_one_backing_buffer() {
         use crate::shared::SharedRun;
-        let slices = cut_into_slices(NodeId(1), WindowId(0), sorted_events(20), 5).unwrap();
+        let window = sorted_events(20);
+        let handed_over = window.as_ptr();
+        let slices = cut_into_slices(NodeId(1), WindowId(0), window, 5).unwrap();
         assert_eq!(slices.len(), 4);
+        // The buffer handed in is the buffer the slices view: no copy.
+        assert!(std::ptr::eq(slices[0].events.as_ptr(), handed_over));
         for pair in slices.windows(2) {
             assert!(SharedRun::ptr_eq(&pair[0].events, &pair[1].events));
         }

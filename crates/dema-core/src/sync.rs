@@ -81,10 +81,6 @@ impl fmt::Display for Rank {
 pub mod rank {
     use super::Rank;
 
-    /// Sort-pool job queue (`dema_core::par`), waited on via condvar.
-    pub const PAR_QUEUE: Rank = Rank::new(10, "par.queue");
-    /// Sort-pool per-call result slots (`dema_core::par`).
-    pub const PAR_RESULTS: Rank = Rank::new(12, "par.results");
     /// Shared routed downlink (`dema-cluster::relay`); held across the
     /// wrapped transport send, hence ranked below every transport lock.
     pub const ROUTED_DOWNLINK: Rank = Rank::new(20, "relay.downlink");
@@ -616,8 +612,8 @@ mod tests {
 
     #[test]
     fn ranks_expose_order_and_label() {
-        assert_eq!(rank::PAR_QUEUE.order(), 10);
-        assert_eq!(rank::PAR_QUEUE.label(), "par.queue");
+        assert_eq!(rank::ROUTED_DOWNLINK.order(), 20);
+        assert_eq!(rank::ROUTED_DOWNLINK.label(), "relay.downlink");
         assert!(rank::ROUTED_DOWNLINK.order() < rank::NET_THROTTLE.order());
         assert!(rank::ROUTED_DOWNLINK.order() < rank::NET_STEP_QUEUE.order());
         assert!(rank::ROUTED_DOWNLINK.order() < rank::WIRE_BUF_POOL.order());

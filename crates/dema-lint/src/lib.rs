@@ -40,11 +40,10 @@
 //!   file the rule scopes that suppresses nothing is an error, so
 //!   justifications cannot outlive the code they excused.
 //! * **R9** — no ad-hoc `thread::spawn` in non-test hot-path code of
-//!   `dema-core` / `dema-cluster` outside the deterministic sort pool
-//!   (`dema-core/src/par.rs`, which is exempt). A stray spawn in the
-//!   window path reorders work nondeterministically and escapes the
-//!   `DEMA_THREADS` budget; go through `dema_core::par`, or tag a
-//!   deliberate long-lived thread (runner topology) with
+//!   `dema-core` / `dema-cluster`. Window work runs on the reactor shard
+//!   hosting its node; a stray spawn in the window path reorders work
+//!   nondeterministically and escapes the `DEMA_THREADS` shard budget.
+//!   Tag a deliberate long-lived thread (runner topology) with
 //!   `// lint: allow(R9): <reason>` or a baseline entry.
 //! * **R10** *(concurrency mode)* — no lock-order inversions. Every lock
 //!   acquisition nested inside another guard's lexical scope becomes an
@@ -54,7 +53,7 @@
 //!   the inversion before the interleaving does.
 //! * **R11** *(concurrency mode)* — no lock guard held across a blocking
 //!   call (`.recv()`, `.recv_timeout(..)`, `.write_all(..)`, `.join()`,
-//!   a `sort_events` pool dispatch). A blocked holder starves every other
+//!   a whole-window `sort_events`). A blocked holder starves every other
 //!   thread that needs the lock; drop the guard in an inner block first.
 //!   `Condvar::wait` is the sanctioned block-while-locked primitive and
 //!   is deliberately not a needle.
@@ -655,19 +654,15 @@ fn check_r14(file: &SourceFile, violations: &mut Vec<Violation>) {
     }
 }
 
-/// Crates whose non-test code must route parallelism through the sort pool
-/// (rule R9).
+/// Crates whose non-test code must not spawn threads of its own (rule R9).
 pub const R9_CRATES: [&str; 2] = ["dema-core", "dema-cluster"];
-
-/// The one file allowed to spawn: the deterministic pool itself.
-pub const R9_EXEMPT: &str = "dema-core/src/par.rs";
 
 /// R9: ad-hoc `thread::spawn` in non-test hot-path code. The needle is the
 /// qualified call `thread::spawn(` — `std::thread::spawn(..)` and a
 /// `use std::thread;` + `thread::spawn(..)` both match; `pool.spawn(..)`
 /// and identifiers merely ending in `thread` do not.
 fn check_r9(file: &SourceFile, violations: &mut Vec<Violation>) {
-    if !in_crate_src(file, &R9_CRATES) || file.test_by_path || file.rel.ends_with(R9_EXEMPT) {
+    if !in_crate_src(file, &R9_CRATES) || file.test_by_path {
         return;
     }
     let needle = "thread::spawn";
@@ -697,8 +692,8 @@ fn check_r9(file: &SourceFile, violations: &mut Vec<Violation>) {
             path: file.rel.clone(),
             line,
             token: "thread::spawn".to_string(),
-            message: "ad-hoc `thread::spawn` bypasses the deterministic sort pool and the \
-                      DEMA_THREADS budget; use `dema_core::par`, or tag a long-lived \
+            message: "ad-hoc `thread::spawn` escapes the DEMA_THREADS shard budget; run \
+                      the work on the reactor shard hosting the node, or tag a long-lived \
                       topology thread with `// lint: allow(R9): <reason>`"
                 .to_string(),
         });
@@ -1782,9 +1777,7 @@ fn rule_in_scope(rule: &str, file: &SourceFile, concurrency: bool, alloc: bool) 
                 && (file.rel.contains("crates/dema-cluster/src/")
                     || file.rel.starts_with("dema-cluster/src/"))
         }
-        "R9" => {
-            !file.test_by_path && !file.rel.ends_with(R9_EXEMPT) && in_crate_src(file, &R9_CRATES)
-        }
+        "R9" => !file.test_by_path && in_crate_src(file, &R9_CRATES),
         "R10" | "R11" | "R12" | "R13" => concurrency && conc_in_scope(file),
         "R14" => !file.test_by_path && R14_FILES.iter().any(|f| file.rel.ends_with(f)),
         "R15" => {
@@ -2197,9 +2190,9 @@ pub const RULES: [RuleInfo; 17] = [
     },
     RuleInfo {
         id: "R9",
-        title: "no ad-hoc thread::spawn outside the deterministic sort pool",
+        title: "no ad-hoc thread::spawn in dema-core / dema-cluster",
         rationale: "a stray spawn in the window path reorders work nondeterministically \
-                    and escapes the DEMA_THREADS budget; go through dema_core::par",
+                    and escapes the DEMA_THREADS shard budget; run it on the hosting shard",
         allow: "// lint: allow(R9): <reason>",
     },
     RuleInfo {
@@ -2213,7 +2206,7 @@ pub const RULES: [RuleInfo; 17] = [
     RuleInfo {
         id: "R11",
         title: "(--concurrency) no lock guard held across a blocking call",
-        rationale: "recv/recv_timeout/write_all/join or a sort-pool dispatch under a held \
+        rationale: "recv/recv_timeout/write_all/join or a whole-window sort under a held \
                     guard starves every thread that needs the lock; drop the guard in an \
                     inner block first (Condvar::wait is exempt — it releases the mutex)",
         allow: "// lint: allow(R11): <reason>",
@@ -2503,21 +2496,6 @@ mod tests {
             &mut v,
         );
         assert!(v.is_empty(), "test regions are exempt: {v:?}");
-
-        // The pool itself is the one sanctioned spawn site.
-        let masked = mask_source("fn w() { std::thread::spawn(run); }");
-        let test_regions = find_test_regions(&masked);
-        let pool = SourceFile {
-            rel: "crates/dema-core/src/par.rs".to_string(),
-            text: String::new(),
-            masked,
-            test_regions,
-            test_by_path: false,
-            used_allows: RefCell::new(BTreeSet::new()),
-        };
-        let mut v = Vec::new();
-        check_r9(&pool, &mut v);
-        assert!(v.is_empty(), "par.rs is exempt: {v:?}");
     }
 
     #[test]
@@ -2629,7 +2607,7 @@ mod tests {
         let (_, v) = conc("fn f(&self) {\n    self.store.lock().clear();\n    self.h.join();\n}");
         assert!(v.is_empty(), "temporary dies with its statement: {v:?}");
 
-        // Pool dispatch under a guard is also a blocking call.
+        // A whole-window sort under a guard stalls every other holder too.
         let (_, v) = conc(
             "fn f(&self) {\n    let s = self.store.lock();\n    let runs = sort_events(evs);\n}",
         );

@@ -1,6 +1,6 @@
-//! Fixture: ad-hoc parallelism outside the deterministic sort pool (R9).
+//! Fixture: ad-hoc parallelism off the reactor shards (R9).
 
-/// Sorts a chunk on a detached thread — bypasses `dema_core::par`.
+/// Sorts a chunk on a detached thread — outside the `DEMA_THREADS` budget.
 pub fn sort_detached(mut chunk: Vec<u64>) -> std::thread::JoinHandle<Vec<u64>> {
     std::thread::spawn(move || {
         chunk.sort_unstable();

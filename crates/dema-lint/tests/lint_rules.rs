@@ -236,7 +236,7 @@ fn concurrency_tree_fails_with_per_rule_diagnostics() {
     );
     assert!(
         stdout.contains("crates/dema-core/src/hold.rs:17: R11:"),
-        "missing R11 diagnostic (pool dispatch under rwlock read guard)\n{stdout}"
+        "missing R11 diagnostic (window sort under rwlock read guard)\n{stdout}"
     );
     assert!(
         stdout.contains("crates/dema-net/src/chan.rs:4: R12:"),

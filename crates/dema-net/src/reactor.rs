@@ -387,9 +387,9 @@ impl Reactor {
 }
 
 /// Spawn a named OS thread hosting one reactor shard. Thread creation for
-/// the cluster's node hosting lives here — the reactor runtime, like the
-/// sort pool (`dema_core::par`), is a sanctioned thread owner; ad-hoc
-/// spawns in the cluster crates stay forbidden (lint R9).
+/// the cluster's node hosting lives here — the reactor runtime is the
+/// sanctioned thread owner; ad-hoc spawns in the cluster crates stay
+/// forbidden (lint R9).
 ///
 /// # Errors
 /// Propagates the OS thread-creation failure.

@@ -3,15 +3,24 @@
 #
 #   build (release)  — the experiment binary and benches must compile,
 #                      and the build must print no `warning:` line
+#   benchmark smoke  — `benchmark/` (a package of its own, path deps on
+#                      crates/*) must compile against the crates as they
+#                      are and pass its tenth-length run: every window
+#                      equal to the sort oracle, walk bytes equal to run
+#                      bytes, the layer walk's self times summing to the
+#                      window. An API break against the layer walk shows
+#                      here, not in the benchmark pipeline
 #   fmt --check      — first-party crates stay rustfmt-clean (vendored
 #                      crates are kept byte-identical to upstream and are
 #                      deliberately not checked)
 #   test             — unit + property + integration tests, all crates,
-#                      run twice: DEMA_THREADS=1 (serial sort path) and
-#                      DEMA_THREADS=4 (pool fan-out). The parallel window
-#                      sort must be invisible — both passes see identical
-#                      results and wire traffic (tests/determinism.rs pins
-#                      the counters; this matrix pins everything else)
+#                      run twice: DEMA_THREADS=1 and DEMA_THREADS=4.
+#                      DEMA_THREADS is the shard count — how many reactor
+#                      threads host the leaves; every window is sorted
+#                      inline on its leaf's shard. The shard count must be
+#                      invisible — both passes see identical results and
+#                      wire traffic (tests/determinism.rs pins the
+#                      counters; this matrix pins everything else)
 #   test --strict    — same suite with the checked-invariant layer compiled
 #                      into release-style gating (DESIGN.md §8), at both
 #                      thread counts, plus an explicit engines-over-TCP
@@ -33,8 +42,9 @@
 #                      code, R6/R7 protocol-spec conformance (handled
 #                      variants match the dema-model role spec; every
 #                      transition has a test), R8 no stale allow-tags,
-#                      R9 no ad-hoc thread::spawn outside the
-#                      deterministic sort pool (dema_core::par), R10 no
+#                      R9 no ad-hoc thread::spawn in dema-core /
+#                      dema-cluster (window work stays on the
+#                      DEMA_THREADS reactor shards), R10 no
 #                      lock-order inversions in the cross-crate
 #                      acquisition graph, R11 no guard held across a
 #                      blocking call, R12 no unbounded channels in
@@ -57,12 +67,11 @@
 #                      bit-identical across the runs (the dynamic twin of
 #                      R15–R17)
 #   lock-order gate  — dema-cluster/tests/lock_order.rs under --features
-#                      strict at DEMA_THREADS=4: repeated runs reuse the
-#                      sort pool without leaking workers, a full run
-#                      holds the global lock ranking under the armed
-#                      runtime tracker, and an intentionally inverted
-#                      acquisition proves the tracker fires (the dynamic
-#                      twin of R10)
+#                      strict at DEMA_THREADS=4: repeated runs are
+#                      bit-identical, a full run holds the global lock
+#                      ranking under the armed runtime tracker, and an
+#                      intentionally inverted acquisition proves the
+#                      tracker fires (the dynamic twin of R10)
 #   model explorer   — bounded interleaving exploration of the real
 #                      engines (dema-model): every schedule up to the
 #                      budget must finish deadlock-free, spec-legal, with
@@ -92,6 +101,7 @@ if grep -q 'warning:' <<<"$build_log"; then
     echo "check.sh: cargo build --release printed warnings" >&2
     exit 1
 fi
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- smoke
 # shellcheck disable=SC2046
 cargo fmt --check $(for c in crates/*/; do printf -- '-p %s ' "$(basename "$c")"; done)
 for threads in 1 4; do
