@@ -46,7 +46,7 @@ fn dealt_inputs(leaves: usize) -> Vec<Vec<Vec<Event>>> {
 fn bench_leaf_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("reactor_scale");
     group.sample_size(10);
-    for leaves in [8usize, 64, 256, 1000] {
+    for leaves in [8usize, 64, 256, 1000, 4000] {
         let inputs = dealt_inputs(leaves);
         group.throughput(Throughput::Elements(
             (WINDOWS as usize * EVENTS_PER_WINDOW) as u64,

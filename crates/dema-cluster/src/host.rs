@@ -102,6 +102,10 @@ pub trait Stepper {
     fn on_wake(&mut self, out: &mut Vec<Outbound>) -> Result<(), ClusterError>;
 
     /// `true` once the role needs no further events.
+    ///
+    /// The [`RoleHost`] calls this after every event it dispatches and the
+    /// reactor on every sweep, so it must be O(1): keep a count beside the
+    /// state rather than scanning nodes or links here.
     fn done(&self) -> bool;
 }
 
@@ -511,6 +515,8 @@ pub struct RelayChildRoute {
 /// forwarding and shutdown-cascade semantics as [`crate::relay::run_relay`].
 pub struct RelayRole {
     ups_open: Vec<bool>,
+    /// How many of `ups_open` are still `true`, so `done` stays O(1).
+    n_ups_open: usize,
     down_open: bool,
     children: Vec<RelayChildRoute>,
 }
@@ -521,6 +527,7 @@ impl RelayRole {
     pub fn new(n_ups: usize, children: Vec<RelayChildRoute>, has_down: bool) -> RelayRole {
         RelayRole {
             ups_open: vec![true; n_ups],
+            n_ups_open: n_ups,
             down_open: has_down,
             children,
         }
@@ -576,8 +583,10 @@ impl Stepper for RelayRole {
     }
 
     fn on_disconnect(&mut self, link: usize, out: &mut Vec<Outbound>) -> Result<(), ClusterError> {
-        if link < self.ups_open.len() {
-            self.ups_open[link] = false;
+        if let Some(open) = self.ups_open.get_mut(link) {
+            if std::mem::replace(open, false) {
+                self.n_ups_open -= 1;
+            }
         } else {
             // The root (or the relay above) is done: cascade the shutdown
             // by closing our own downlinks so the tier below exits too.
@@ -594,7 +603,7 @@ impl Stepper for RelayRole {
     }
 
     fn done(&self) -> bool {
-        !self.down_open && self.ups_open.iter().all(|open| !open)
+        !self.down_open && self.n_ups_open == 0
     }
 }
 
@@ -895,6 +904,9 @@ mod tests {
                 .count(),
             2
         );
+        relay.on_disconnect(0, &mut Vec::new()).unwrap();
+        assert!(relay.done());
+        // A repeated close is not counted twice.
         relay.on_disconnect(0, &mut Vec::new()).unwrap();
         assert!(relay.done());
     }

@@ -7,12 +7,12 @@
 //! [`crate::engines::RootEngine`] trait; see the modules under
 //! `crate::engines` for the per-engine state machines.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dema_core::event::{NodeId, WindowId};
-use dema_core::numeric::len_to_u32;
+use dema_core::numeric::u64_to_usize;
 use dema_core::quantile::Quantile;
 use dema_metrics::LatencyHistogram;
 use dema_net::MsgSender;
@@ -27,6 +27,76 @@ use crate::ClusterError;
 
 pub use crate::engines::dema::PIPELINE_DEPTH;
 
+/// The local's `StreamEnd` arrived. A flag, so a duplicated `StreamEnd`
+/// under fault injection cannot end the run early.
+const ENDED: u8 = 1;
+/// The engine declared the local dead (liveness / retry budget exhausted).
+const DEAD: u8 = 1 << 1;
+/// The leaver's `LeaveAnnounce` arrived; its drain is still gated on the
+/// watermark reaching its boundary.
+const LEAVE_ANNOUNCED: u8 = 1 << 2;
+/// The local's drain handshake finished (`DrainComplete` sent). A drained
+/// node is accounted for like an ended one, never chased by the liveness
+/// machinery, and never declared dead.
+const DRAINED: u8 = 1 << 3;
+/// A local carrying any of these flags owes the run nothing more.
+const SETTLED: u8 = ENDED | DEAD | DRAINED;
+
+/// The root's per-local bookkeeping: one flag byte per node id, plus the
+/// number of settled locals. The count is what keeps
+/// [`RootNode::finished`] O(1) — the host asks it after every event — and
+/// a local that collects several settling flags counts once.
+struct NodeTable {
+    flags: Vec<u8>,
+    settled: usize,
+}
+
+impl NodeTable {
+    fn new(n_locals: usize) -> NodeTable {
+        NodeTable {
+            flags: vec![0; n_locals],
+            settled: 0,
+        }
+    }
+
+    /// `true` when local `n` carries any of `flags`.
+    fn any(&self, n: u32, flags: u8) -> bool {
+        self.flags
+            .get(u64_to_usize(u64::from(n)))
+            .is_some_and(|f| f & flags != 0)
+    }
+
+    /// Set `flag` on local `n`; `Ok(true)` when it was not already set.
+    ///
+    /// # Errors
+    /// A node id outside the run's locals is a protocol violation.
+    fn set(&mut self, n: u32, flag: u8) -> Result<bool, ClusterError> {
+        let n_locals = self.flags.len();
+        let Some(f) = self.flags.get_mut(u64_to_usize(u64::from(n))) else {
+            return Err(ClusterError::Protocol(format!(
+                "{}: not one of the run's {n_locals} locals",
+                NodeId(n)
+            )));
+        };
+        if *f & flag != 0 {
+            return Ok(false);
+        }
+        if *f & SETTLED == 0 && flag & SETTLED != 0 {
+            self.settled += 1;
+        }
+        *f |= flag;
+        Ok(true)
+    }
+
+    /// Node ids whose flags satisfy `keep`, ascending.
+    fn ids<'a>(&'a self, keep: impl Fn(u8) -> bool + 'a) -> impl Iterator<Item = u32> + 'a {
+        (0u32..)
+            .zip(&self.flags)
+            .filter(move |&(_, &f)| keep(f))
+            .map(|(n, _)| n)
+    }
+}
+
 /// The root node: an engine plugged into the shared shell.
 pub struct RootNode {
     engine: Box<dyn RootEngine>,
@@ -35,11 +105,8 @@ pub struct RootNode {
     outcomes: BTreeMap<u64, WindowOutcome>,
     close_times: CloseTimes,
     latency: LatencyHistogram,
-    /// Locals whose stream-end arrived (set, so a duplicated `StreamEnd`
-    /// under fault injection cannot end the run early).
-    ended: HashSet<u32>,
-    /// Locals the engine declared dead (liveness / retry budget exhausted).
-    dead: HashSet<u32>,
+    /// Where each local stands: ended, dead, announced to leave, drained.
+    nodes: NodeTable,
     late_events: u64,
     /// Resilient runs: the request timeout, doubling as the quiescence
     /// threshold for `tick`. `None` on seed (fail-fast) runs.
@@ -59,13 +126,6 @@ pub struct RootNode {
     /// (trivial single-epoch ledger unless [`RootNode::with_membership`]
     /// installed a churn plan; DESIGN.md §14).
     ledger: Arc<EpochLedger>,
-    /// Leavers whose `LeaveAnnounce` arrived but whose drain is still
-    /// gated on the watermark reaching their boundary.
-    leave_announced: HashSet<u32>,
-    /// Locals whose drain handshake finished (`DrainComplete` sent). A
-    /// drained node is accounted for like an ended one, never chased by
-    /// the liveness machinery, and never declared dead.
-    drained: HashSet<u32>,
     /// Highest epoch whose `EpochSwitch` has been broadcast (0 = only the
     /// initial epoch is active).
     epoch_switched: u64,
@@ -150,16 +210,13 @@ impl RootNode {
             outcomes: BTreeMap::new(),
             close_times,
             latency: LatencyHistogram::new(),
-            ended: HashSet::new(),
-            dead: HashSet::new(),
+            nodes: NodeTable::new(n_locals),
             late_events: 0,
             resilience_timeout,
             last_progress: Instant::now(),
             quiescent_ticked: false,
             resolved: Vec::new(),
             ledger: Arc::new(EpochLedger::trivial(n_locals)),
-            leave_announced: HashSet::new(),
-            drained: HashSet::new(),
             epoch_switched: 0,
             watermark: 0,
             switch_instants: HashMap::new(),
@@ -183,11 +240,9 @@ impl RootNode {
 
     /// `true` once every window is finalized and every local has either
     /// ended its stream, drained away cleanly, or been declared dead.
+    /// O(1), because the host calls it after every event.
     pub fn finished(&self) -> bool {
-        let accounted = (0..len_to_u32(self.n_locals))
-            .filter(|n| self.ended.contains(n) || self.dead.contains(n) || self.drained.contains(n))
-            .count();
-        self.outcomes.len() as u64 == self.expected_windows && accounted == self.n_locals
+        self.outcomes.len() as u64 == self.expected_windows && self.nodes.settled == self.n_locals
     }
 
     /// Windows finalized so far.
@@ -210,18 +265,14 @@ impl RootNode {
     /// node order. The interleaving explorer reads this to decide whether
     /// a missing reply was legitimized by a death verdict.
     pub fn dead_nodes(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.dead.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.nodes.ids(|f| f & DEAD != 0).collect()
     }
 
     /// Locals whose drain handshake finished, in node order. Disjoint from
     /// [`RootNode::dead_nodes`]: a drained node is a planned departure,
     /// not a failure.
     pub fn drained_nodes(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.drained.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.nodes.ids(|f| f & DRAINED != 0).collect()
     }
 
     /// Per-epoch accounting for the run report, epoch order (a single
@@ -275,7 +326,7 @@ impl RootNode {
         self.quiescent_ticked = false;
         match msg {
             Message::StreamEnd { node, late_events } => {
-                if self.ended.insert(node.0) {
+                if self.nodes.set(node.0, ENDED)? {
                     self.late_events += late_events;
                 }
                 return self.sweep_membership();
@@ -309,7 +360,7 @@ impl RootNode {
                         "{node}: unplanned leave at {window}"
                     )));
                 }
-                self.leave_announced.insert(node.0);
+                self.nodes.set(node.0, LEAVE_ANNOUNCED)?;
                 return self.sweep_membership();
             }
             _ => {}
@@ -378,10 +429,7 @@ impl RootNode {
                 continue; // unreachable: the ledger's epochs are dense
             };
             for &n in &info.left {
-                if self.drained.contains(&n)
-                    || self.dead.contains(&n)
-                    || !self.leave_announced.contains(&n)
-                {
+                if self.nodes.any(n, DRAINED | DEAD) || !self.nodes.any(n, LEAVE_ANNOUNCED) {
                     continue;
                 }
                 // Every window the leaver owed is below the boundary, and
@@ -396,7 +444,7 @@ impl RootNode {
                         "membership churn on an engine without a control plane".into(),
                     ));
                 }
-                self.drained.insert(n);
+                self.nodes.set(n, DRAINED)?;
                 self.engine.on_node_drained(NodeId(n));
             }
         }
@@ -419,11 +467,7 @@ impl RootNode {
         // A drained node owes nothing; an announced leaver still owes its
         // end-of-stream obligation (the END_KEY retry path re-fetches a
         // lost LeaveAnnounce from its SentCache).
-        let missing_enders: Vec<u32> = (0..len_to_u32(self.n_locals))
-            .filter(|n| {
-                !self.ended.contains(n) && !self.dead.contains(n) && !self.drained.contains(n)
-            })
-            .collect();
+        let missing_enders: Vec<u32> = self.nodes.ids(|f| f & SETTLED == 0).collect();
         let mut resolved = std::mem::take(&mut self.resolved);
         let result = self.engine.on_tick(
             self.expected_windows,
@@ -436,7 +480,7 @@ impl RootNode {
         }
         self.resolved = resolved;
         for node in result? {
-            self.dead.insert(node.0);
+            self.nodes.set(node.0, DEAD)?;
         }
         self.sweep_membership()
     }
@@ -980,5 +1024,196 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    fn centralized_root(n_locals: usize, windows: u64) -> RootNode {
+        RootNode::new(
+            Quantile::MEDIAN,
+            EngineKind::Centralized,
+            n_locals,
+            windows,
+            vec![],
+            close_times(),
+        )
+    }
+
+    fn batch(node: u32, window: u64) -> Message {
+        Message::EventBatch {
+            node: NodeId(node),
+            window: WindowId(window),
+            sorted: false,
+            events: events(&[i64::from(node)]),
+        }
+    }
+
+    fn stream_end(node: u32, late_events: u64) -> Message {
+        Message::StreamEnd {
+            node: NodeId(node),
+            late_events,
+        }
+    }
+
+    #[test]
+    fn finished_needs_every_window_and_every_local() {
+        // Locals settle first, windows last…
+        let mut root = centralized_root(2, 1);
+        root.handle(stream_end(0, 0)).unwrap();
+        root.handle(stream_end(1, 0)).unwrap();
+        assert!(!root.finished(), "window 0 is not finalized");
+        root.handle(batch(0, 0)).unwrap();
+        assert!(!root.finished());
+        root.handle(batch(1, 0)).unwrap();
+        assert!(root.finished());
+        // …and windows first, locals last.
+        let mut root = centralized_root(2, 1);
+        root.handle(batch(0, 0)).unwrap();
+        root.handle(batch(1, 0)).unwrap();
+        root.handle(stream_end(1, 0)).unwrap();
+        assert!(!root.finished(), "local 0 has not ended");
+        root.handle(stream_end(0, 0)).unwrap();
+        assert!(root.finished());
+    }
+
+    #[test]
+    fn duplicate_stream_end_counts_once() {
+        let mut root = centralized_root(2, 1);
+        root.handle(batch(0, 0)).unwrap();
+        root.handle(batch(1, 0)).unwrap();
+        root.handle(stream_end(0, 3)).unwrap();
+        root.handle(stream_end(0, 3)).unwrap();
+        assert_eq!(
+            root.late_events(),
+            3,
+            "the duplicate's late events are dropped"
+        );
+        assert!(
+            !root.finished(),
+            "a duplicate must not stand in for local 1"
+        );
+        root.handle(stream_end(1, 0)).unwrap();
+        assert!(root.finished());
+    }
+
+    #[test]
+    fn out_of_range_stream_end_is_a_protocol_error() {
+        let mut root = centralized_root(2, 1);
+        for node in [2, u32::MAX] {
+            let err = root.handle(stream_end(node, 1)).unwrap_err();
+            assert!(matches!(err, ClusterError::Protocol(_)), "{err:?}");
+        }
+        assert_eq!(root.late_events(), 0);
+        root.handle(batch(0, 0)).unwrap();
+        root.handle(batch(1, 0)).unwrap();
+        root.handle(stream_end(0, 0)).unwrap();
+        assert!(
+            !root.finished(),
+            "stray ids must not count toward the locals"
+        );
+    }
+
+    /// Two leavers drain (announcing out of id order), then send their
+    /// `StreamEnd` sign-off: each is settled once, by the drain.
+    #[test]
+    fn drained_leaver_sign_off_counts_once() {
+        use crate::config::{MembershipChange, MembershipPlan};
+        let (control, mut ctl_rx): (Vec<Box<dyn MsgSender>>, Vec<_>) = (0..3)
+            .map(|_| link(NetworkCounters::new_shared()))
+            .map(|(tx, rx)| (Box::new(tx) as Box<dyn MsgSender>, rx))
+            .unzip();
+        let mut root = RootNode::new(
+            Quantile::MEDIAN,
+            EngineKind::Dema {
+                gamma: GammaMode::Fixed(2),
+                strategy: dema_core::selector::SelectionStrategy::WindowCut,
+            },
+            3,
+            2,
+            control,
+            close_times(),
+        )
+        .with_membership(&MembershipPlan {
+            changes: vec![MembershipChange {
+                window: 1,
+                joins: vec![],
+                leaves: vec![1, 2],
+            }],
+        })
+        .unwrap();
+        let empty = |node: u32, window: u64| Message::SynopsisBatch {
+            node: NodeId(node),
+            window: WindowId(window),
+            synopses: vec![],
+        };
+        for node in 0..3 {
+            root.handle(empty(node, 0)).unwrap();
+        }
+        assert_eq!(root.completed_windows(), 1);
+        for node in [2, 1] {
+            root.handle(Message::LeaveAnnounce {
+                node: NodeId(node),
+                window: WindowId(1),
+            })
+            .unwrap();
+        }
+        assert_eq!(
+            root.drained_nodes(),
+            vec![1, 2],
+            "ascending, not arrival order"
+        );
+        for rx in &mut ctl_rx[1..] {
+            assert!(matches!(rx.recv().unwrap(), Message::DrainComplete { .. }));
+        }
+        root.handle(stream_end(2, 0)).unwrap();
+        root.handle(stream_end(1, 0)).unwrap();
+        root.handle(empty(0, 1)).unwrap();
+        assert_eq!(root.completed_windows(), 2);
+        assert!(
+            !root.finished(),
+            "the sign-offs must not stand in for local 0"
+        );
+        root.handle(stream_end(0, 0)).unwrap();
+        assert!(root.finished());
+        assert_eq!(root.dead_nodes(), Vec::<u32>::new());
+    }
+
+    /// Locals 0 and 2 go silent and are declared dead; local 2's
+    /// `StreamEnd` then arrives late and must not count it a second time.
+    #[test]
+    fn dead_local_late_stream_end_counts_once() {
+        use crate::config::Resilience;
+        use dema_metrics::FaultCounters;
+        let mut root = RootNode::with_extra_quantiles(
+            Quantile::MEDIAN,
+            Vec::new(),
+            EngineKind::Centralized,
+            3,
+            1,
+            vec![],
+            close_times(),
+            Some(ResilienceCtx {
+                config: Resilience {
+                    request_timeout_ms: 1,
+                    max_retries: 0,
+                    liveness_k: 1,
+                    seed: 7,
+                },
+                counters: FaultCounters::new_shared(),
+            }),
+            PIPELINE_DEPTH,
+        );
+        root.handle(batch(1, 0)).unwrap();
+        root.handle(stream_end(1, 0)).unwrap();
+        // The first tick finds the run quiescent and arms deadlines one
+        // timeout out; the second finds them expired. Sleeping past the
+        // timeout fixes the outcome regardless of scheduling.
+        for _ in 0..2 {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            root.tick().unwrap();
+        }
+        assert_eq!(root.dead_nodes(), vec![0, 2]);
+        assert!(root.finished(), "window 0 completes from the survivor");
+        root.handle(stream_end(2, 4)).unwrap();
+        assert_eq!(root.late_events(), 4);
+        assert!(root.finished(), "local 2 stays counted exactly once");
     }
 }

@@ -177,6 +177,11 @@ pub trait Handler<E> {
 
     /// `true` once the handler needs no further events. The loop exits
     /// when every handler is done.
+    ///
+    /// The loop asks on every sweep (and before each timer, writability or
+    /// wake delivery), and hosts typically ask again after every event, so
+    /// this must be O(1): keep a count beside the state rather than scanning
+    /// it.
     fn done(&self) -> bool;
 }
 

@@ -85,6 +85,11 @@
 #                      and the process must shut down cleanly (exit 0).
 #                      The tcp_cluster example runs in the same breath so
 #                      example rot fails the gate too (DESIGN.md §13).
+#                      A plain-release 4,000-leaf run must also finish
+#                      under `timeout 10`: the root's per-event bookkeeping
+#                      must stay O(1) in the leaf count. A root that scans
+#                      every leaf per event is quadratic here (~15 s on a
+#                      2-core box); the O(1) completion check takes ~1 s.
 #   bench --no-run   — criterion benches must keep compiling
 #   clippy           — deny the two lints that reintroduce hot-path copies:
 #                      redundant_clone (event buffers must be shared, not
@@ -121,6 +126,8 @@ for threads in 1 4; do
 done
 MODEL_BUDGET="${MODEL_BUDGET:-1200}" cargo test -q -p dema-model --test explore
 cargo run -q --release -p dema --features strict --bin dema-server -- --leaves 256 --quiet
+cargo build -q --release -p dema --bin dema-server
+timeout 10 target/release/dema-server --leaves 4000 --windows 48 --events 32 --threads 2 --quiet
 cargo run -q --release -p dema --features strict --bin dema-server -- \
     --leaves 8 --windows 2 --events 50 --transport tcp --quiet
 cargo run -q --release -p dema --example tcp_cluster > /dev/null
