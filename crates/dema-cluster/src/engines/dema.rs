@@ -34,10 +34,10 @@
 //! ships with a rank-error bound equal to the lost candidate slices'
 //! synopsis counts (the root knows exactly how many events it never saw).
 
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::gamma::AdaptiveGamma;
@@ -48,9 +48,8 @@ use dema_core::quantile::Quantile;
 use dema_core::selector::SelectionStrategy;
 use dema_core::shared::SharedRun;
 use dema_core::slice::{cut_into_slices, Slice, SliceId, SliceSynopsis};
-use dema_core::sync::{rank, Mutex};
 use dema_core::DemaError;
-use dema_net::{MsgReceiver, MsgSender, NetError};
+use dema_net::{MsgSender, NetError};
 use dema_wire::Message;
 
 use super::retry::{self, ExpiryAction, Supervisor, END_KEY};
@@ -76,24 +75,23 @@ pub const PIPELINE_DEPTH: usize = 4;
 /// against a stalled root.
 pub(crate) const STORE_WINDOW_CAP: usize = 64;
 
-/// How often the responder wakes from its receive to notice a torn-down
-/// link even when the root has gone silent.
-const RESPONDER_POLL: Duration = Duration::from_millis(25);
-
-/// State shared between a Dema local's main loop and its responder.
+/// State shared between a Dema local's two roles — the window stepper and
+/// the responder. Both run on the leaf's one reactor shard, so the cells
+/// are plain `Cell`/`RefCell`; `LocalShared` is `!Sync`, and the compiler
+/// keeps the two roles on one thread.
 #[derive(Debug)]
 pub struct LocalShared {
     /// Current slice factor (updated by `GammaUpdate`s from the root).
-    pub gamma: AtomicU64,
+    pub gamma: Cell<u64>,
     /// Closed windows' slices, awaiting (possible) candidate requests.
-    pub store: Mutex<HashMap<u64, Vec<Slice>>>,
+    pub store: RefCell<HashMap<u64, Vec<Slice>>>,
     /// Resilient mode: keep served windows in the store (candidate retries
     /// must be idempotent) and cache sent uplink messages for resends.
     pub retain_sent: bool,
     /// Last data-plane uplink message per window, for `ResendWindow`
     /// NACKs; the stream-end message lives under [`END_KEY`]'s slot.
     /// Populated only when `retain_sent` is set.
-    pub sent: Mutex<HashMap<u64, Message>>,
+    pub sent: RefCell<HashMap<u64, Message>>,
     /// Shard count of the run, passed through to
     /// `dema_core::par::sort_events_with` (which sorts inline whatever it
     /// says).
@@ -115,12 +113,15 @@ impl LocalShared {
     }
 
     /// Fully explicit constructor: resilience mode and shard count.
+    // The `Arc` never crosses a thread; it stays because `benchmark/`
+    // names `Arc<LocalShared>`.
+    #[allow(clippy::arc_with_non_send_sync)]
     pub fn configured(gamma: u64, resilient: bool, threads: usize) -> Arc<LocalShared> {
         Arc::new(LocalShared {
-            gamma: AtomicU64::new(gamma),
-            store: Mutex::new(rank::LOCAL_STORE, HashMap::new()),
+            gamma: Cell::new(gamma),
+            store: RefCell::new(HashMap::new()),
             retain_sent: resilient,
-            sent: Mutex::new(rank::LOCAL_SENT, HashMap::new()),
+            sent: RefCell::new(HashMap::new()),
             threads: threads.max(1),
         })
     }
@@ -1049,7 +1050,7 @@ impl LocalEngine for DemaLocal<'_> {
         mut events: Vec<Event>,
         to_root: &mut dyn MsgSender,
     ) -> Result<(), ClusterError> {
-        let gamma = self.shared.gamma.load(Ordering::Relaxed);
+        let gamma = self.shared.gamma.get();
         dema_core::par::sort_events_with(&mut events, self.shared.threads);
         let l_local = len_to_u64(events.len());
         let slices = cut_into_slices(node, window, events, gamma)?;
@@ -1060,7 +1061,7 @@ impl LocalEngine for DemaLocal<'_> {
             .collect::<Result<Vec<_>, _>>()?;
         dema_core::invariant::check_partition(&slices, &synopses, l_local)?;
         {
-            let mut store = self.shared.store.lock();
+            let mut store = self.shared.store.borrow_mut();
             store.insert(window.0, slices);
             // Bound memory if the root stalls; oldest windows first.
             while store.len() > STORE_WINDOW_CAP {
@@ -1102,49 +1103,27 @@ fn collect_payload(
         .collect()
 }
 
-/// Dema's responder: serves candidate requests (and, on resilient runs,
-/// candidate retries and `ResendWindow` NACKs) plus γ updates until the
-/// root closes the control link.
+/// Outcome of one [`responder_step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResponderStatus {
+    /// Keep serving control messages.
+    Continue,
+    /// Retire the responder cleanly (resilient run, uplink gone: the
+    /// node is dead to the root and liveness accounting covers it; or the
+    /// drain handshake is answered).
+    Stop,
+}
+
+/// Dema's responder, one control message at a time: serves candidate
+/// requests (and, on resilient runs, candidate retries and `ResendWindow`
+/// NACKs) plus γ updates. The reactor's responder role and the
+/// deterministic scheduler in `dema-model` both drive it.
 ///
 /// Seed runs serve each window destructively — the store entry is removed
 /// with the reply, and an unknown window is a protocol error. Resilient
 /// runs keep served windows (a retry must be idempotent) and treat an
 /// unknown window as already-evicted: no reply, the root's retry budget
 /// decides.
-pub fn run_responder(
-    node: NodeId,
-    from_root: &mut dyn MsgReceiver,
-    to_root: &mut dyn MsgSender,
-    shared: &LocalShared,
-) -> Result<(), ClusterError> {
-    loop {
-        let msg = match from_root.recv_timeout(RESPONDER_POLL) {
-            Ok(Some(m)) => m,
-            Ok(None) => continue,
-            Err(NetError::Disconnected) => return Ok(()), // root finished
-            Err(e) => return Err(e.into()),
-        };
-        match responder_step(node, msg, to_root, shared)? {
-            ResponderStatus::Continue => {}
-            ResponderStatus::Stop => return Ok(()),
-        }
-    }
-}
-
-/// Outcome of one [`responder_step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResponderStatus {
-    /// Keep serving control messages.
-    Continue,
-    /// Exit the responder loop cleanly (resilient run, uplink gone: the
-    /// node is dead to the root and liveness accounting covers it).
-    Stop,
-}
-
-/// Handle a single control message — one step of [`run_responder`],
-/// factored out so the deterministic scheduler in `dema-model` can drive
-/// the responder one delivery at a time with the same semantics as the
-/// threaded loop.
 // hot-path: responder-serve
 pub fn responder_step(
     node: NodeId,
@@ -1156,7 +1135,7 @@ pub fn responder_step(
         Message::CandidateRequest { window, slices }
         | Message::CandidateRetry { window, slices, .. } => {
             let payload = {
-                let mut store = shared.store.lock();
+                let mut store = shared.store.borrow_mut();
                 if shared.retain_sent {
                     match store.get(&window.0) {
                         Some(stored) => Some(collect_payload(node, window, &slices, stored)?),
@@ -1190,7 +1169,7 @@ pub fn responder_step(
             }
         }
         Message::ResendWindow { window, .. } => {
-            let cached = shared.sent.lock().get(&window.0).cloned();
+            let cached = shared.sent.borrow().get(&window.0).cloned();
             // A cache miss means the window was never processed here
             // (or was evicted): nothing to resend, the root retries.
             if let Some(m) = cached {
@@ -1203,14 +1182,14 @@ pub fn responder_step(
             }
         }
         Message::GammaUpdate { gamma } => {
-            shared.gamma.store(gamma.max(2), Ordering::Relaxed);
+            shared.gamma.set(gamma.max(2));
         }
         Message::JoinAccept { gamma, .. } => {
             // The root's γ at admission time: adopt it so the joiner's
             // early windows slice with live feedback instead of the run's
             // initial γ. γ 0 means the engine runs no γ control.
             if gamma >= 2 {
-                shared.gamma.store(gamma, Ordering::Relaxed);
+                shared.gamma.set(gamma);
             }
         }
         Message::EpochSwitch { .. } => {

@@ -173,7 +173,7 @@ pub struct EngineDescriptor {
     /// `true` if the engine computes exact quantiles.
     pub exact: bool,
     /// `true` if the engine needs root→local control links and a responder
-    /// thread per local (today: only Dema's calculation step).
+    /// role per local (today: only Dema's calculation step).
     pub control_plane: bool,
     /// Human-readable wire-cost summary (README engine table).
     pub wire_cost: &'static str,

@@ -29,7 +29,8 @@
 //! [`root`] and [`local`] and the wiring in [`runner`] are engine-agnostic.
 //!
 //! The runner consumes pre-generated per-window inputs (see `dema-gen`),
-//! runs one OS thread per node plus a responder thread per Dema local, and
+//! hosts every node as a reactor role on `threads` shards (a Dema local is
+//! two roles on one shard: its window stepper and its responder), and
 //! produces a [`report::RunReport`] with per-window results, latencies, and
 //! exact per-link traffic. Nodes are wired either as a flat star or as a
 //! multi-level aggregation tree of relay nodes ([`config::Topology`]), with

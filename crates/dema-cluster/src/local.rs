@@ -1,14 +1,16 @@
-//! The local-node shell: window pacing, watermarks, and close-time stamps.
+//! The local-node shell: per-window engine duties, the sent cache,
+//! watermarks, and the close-time map.
 //!
 //! A local node consumes its pre-grouped window inputs in order. Per window
 //! it invokes the engine's local duty (behind the
 //! [`crate::engines::LocalEngine`] trait — sort + slice + synopses for
 //! Dema, sort-and-ship for DecSort, ship-raw for the centralized engines,
 //! sketch for the distributed ones) and moves on — it never blocks on the
-//! root. Dema's calculation step is served by a small *responder* thread
-//! that shares the node's slice store, so identification of window `w + 1`
-//! can overlap the calculation step of window `w`, exactly as in the paper
-//! ("the local nodes then proceed to process the next local windows").
+//! root. Dema's calculation step is served by a second role on the same
+//! reactor shard, the *responder*, that shares the node's slice store, so
+//! identification of window `w + 1` can overlap the calculation step of
+//! window `w`, exactly as in the paper ("the local nodes then proceed to
+//! process the next local windows").
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,7 +28,7 @@ use crate::engines::dema::STORE_WINDOW_CAP;
 use crate::engines::retry::END_KEY;
 use crate::ClusterError;
 
-pub use crate::engines::dema::{responder_step, run_responder, LocalShared, ResponderStatus};
+pub use crate::engines::dema::{responder_step, LocalShared, ResponderStatus};
 
 /// Wall-clock instants at which each `(node, window)` closed — the latency
 /// clock starts here.
@@ -38,28 +40,21 @@ pub fn new_close_times() -> CloseTimes {
     Arc::new(Mutex::new(rank::CLOSE_TIMES, HashMap::new()))
 }
 
-/// Data-plane sender that, on resilient runs, caches the last message sent
-/// per window so the node's responder can serve the root's `ResendWindow`
-/// NACKs. The stream-end message lives under the [`END_KEY`] slot.
-/// Transparent (no clone, no lock) when the run is not resilient.
+/// Data-plane sender that, on resilient runs, remembers the last message
+/// it forwarded; [`LocalStepper::step`] files it in the node's `sent`
+/// cache once the duty returns. It holds no [`LocalShared`] borrow: a
+/// [`MsgSender`] is `Send` and the shared cells are not `Sync`.
+/// Transparent (no clone) when the run is not resilient.
 struct SentCache<'a> {
     inner: &'a mut dyn MsgSender,
-    shared: &'a LocalShared,
-    key: u64,
+    retain: bool,
+    last: Option<Message>,
 }
 
 impl MsgSender for SentCache<'_> {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        if self.shared.retain_sent {
-            let mut sent = self.shared.sent.lock();
-            sent.insert(self.key, msg.clone());
-            // Bounded like the slice store; the stream-end slot survives.
-            while sent.len() > STORE_WINDOW_CAP {
-                let Some(&oldest) = sent.keys().filter(|&&k| k != END_KEY).min() else {
-                    break;
-                };
-                sent.remove(&oldest);
-            }
+        if self.retain {
+            self.last = Some(msg.clone());
         }
         self.inner.send(msg)
     }
@@ -69,46 +64,27 @@ impl MsgSender for SentCache<'_> {
     }
 }
 
-/// Run one local node's main loop over its window inputs.
-///
-/// With `pace_window_ms = Some(ms)`, window `i` closes no earlier than
-/// `i · ms` after the run started — emulating real-time tumbling windows so
-/// root feedback (γ updates) can influence later windows.
-pub fn run_local(
-    node: NodeId,
-    windows: Vec<Vec<Event>>,
-    engine: EngineKind,
-    to_root: &mut dyn MsgSender,
-    shared: &LocalShared,
-    close_times: &CloseTimes,
-    pace_window_ms: Option<u64>,
-) -> Result<(), ClusterError> {
-    let mut stepper = LocalStepper::new(node, windows, engine, shared);
-    let started = Instant::now();
-    while !stepper.is_done() {
-        if let Some(w) = stepper.next_window() {
-            if let Some(ms) = pace_window_ms {
-                let due = started + std::time::Duration::from_millis(ms * w);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-            }
-            close_times.lock().insert((node.0, w), Instant::now());
-        }
-        stepper.step(to_root)?;
+/// File `msg` under `key` in `shared.sent` for the responder's
+/// `ResendWindow` replays. Bounded like the slice store; the stream-end
+/// slot survives.
+fn file_sent(shared: &LocalShared, key: u64, msg: Message) {
+    let mut sent = shared.sent.borrow_mut();
+    sent.insert(key, msg);
+    while sent.len() > STORE_WINDOW_CAP {
+        let Some(&oldest) = sent.keys().filter(|&&k| k != END_KEY).min() else {
+            break;
+        };
+        sent.remove(&oldest);
     }
-    Ok(())
 }
 
 /// Drives one local node one window at a time — the single-step seam
-/// shared by the threaded loop ([`run_local`] is a thin driver around
-/// it), the reactor runtime's local role (`crate::host`), and the
-/// deterministic interleaving explorer in `dema-model`. Each
-/// [`LocalStepper::step`] closes the next window through the engine's
-/// local duty with the same per-window sent-cache semantics everywhere,
-/// and a final step sends the `StreamEnd` marker. No pacing and no
-/// close-time stamps here: the driver owns time.
+/// shared by the reactor runtime's local role (`crate::host`), the
+/// deterministic interleaving explorer in `dema-model`, and the layer walk
+/// in `benchmark/`. Each [`LocalStepper::step`] closes the next window
+/// through the engine's local duty with the same per-window sent-cache
+/// semantics everywhere, and a final step sends the `StreamEnd` marker. No
+/// pacing and no close-time stamps here: the caller owns time.
 pub struct LocalStepper<'a> {
     node: NodeId,
     windows: std::vec::IntoIter<Vec<Event>>,
@@ -209,17 +185,18 @@ impl<'a> LocalStepper<'a> {
                 self.next_window += 1;
                 let mut cache = SentCache {
                     inner: to_root,
-                    shared: self.shared,
-                    key: window.0,
+                    retain: self.shared.retain_sent,
+                    last: None,
                 };
-                self.duty.on_window(self.node, window, events, &mut cache)?;
+                let res = self.duty.on_window(self.node, window, events, &mut cache);
+                // Filed also when the send failed: a ResendWindow NACK
+                // replays it once the uplink is back.
+                if let Some(msg) = cache.last {
+                    file_sent(self.shared, window.0, msg);
+                }
+                res?;
             }
             None => {
-                let mut cache = SentCache {
-                    inner: to_root,
-                    shared: self.shared,
-                    key: END_KEY,
-                };
                 // A leaver's end-of-stream is the drain announcement; it
                 // rides the END_KEY cache slot so a ResendWindow NACK can
                 // replay it if lost.
@@ -233,7 +210,10 @@ impl<'a> LocalStepper<'a> {
                         late_events: self.late_events,
                     },
                 };
-                cache.send(&bye)?;
+                if self.shared.retain_sent {
+                    file_sent(self.shared, END_KEY, bye.clone());
+                }
+                to_root.send(&bye)?;
                 self.done = true;
             }
         }
@@ -311,7 +291,6 @@ mod tests {
     use dema_metrics::NetworkCounters;
     use dema_net::mem::link;
     use dema_net::MsgReceiver;
-    use std::sync::atomic::Ordering;
 
     fn events(vals: &[i64]) -> Vec<Event> {
         vals.iter()
@@ -327,22 +306,38 @@ mod tests {
         }
     }
 
+    /// Step a fresh stepper over `windows` until it has sent `StreamEnd`;
+    /// returns the number of steps taken.
+    fn run_stepper(
+        node: NodeId,
+        windows: Vec<Vec<Event>>,
+        engine: EngineKind,
+        to_root: &mut dyn MsgSender,
+        shared: &LocalShared,
+    ) -> usize {
+        let mut stepper = LocalStepper::new(node, windows, engine, shared);
+        let mut steps = 0;
+        while stepper.step(to_root).unwrap() {
+            steps += 1;
+        }
+        assert!(stepper.is_done());
+        assert!(!stepper.step(to_root).unwrap(), "done stepper is inert");
+        steps
+    }
+
     #[test]
     fn dema_local_sends_synopses_and_stores_slices() {
         let counters = NetworkCounters::new_shared();
         let (mut tx, mut rx) = link(counters);
         let shared = LocalShared::new(4);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        let steps = run_stepper(
             NodeId(1),
             vec![events(&[5, 1, 9, 3, 7, 2, 8, 4])],
             dema_engine(),
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
+        assert_eq!(steps, 2, "1 window + StreamEnd");
         match rx.recv().unwrap() {
             Message::SynopsisBatch {
                 node,
@@ -358,25 +353,21 @@ mod tests {
             other => panic!("expected synopses, got {other:?}"),
         }
         assert!(matches!(rx.recv().unwrap(), Message::StreamEnd { .. }));
-        assert!(shared.store.lock().contains_key(&0));
-        assert!(close_times.lock().contains_key(&(1, 0)));
+        assert!(shared.store.borrow().contains_key(&0));
+        assert!(shared.sent.borrow().is_empty(), "seed runs cache nothing");
     }
 
     #[test]
     fn decsort_local_ships_sorted() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        run_stepper(
             NodeId(0),
             vec![events(&[3, 1, 2])],
             EngineKind::DecSort,
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         match rx.recv().unwrap() {
             Message::EventBatch { sorted, events, .. } => {
                 assert!(sorted);
@@ -391,17 +382,13 @@ mod tests {
     fn centralized_local_ships_raw() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        run_stepper(
             NodeId(0),
             vec![events(&[3, 1, 2])],
             EngineKind::Centralized,
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         match rx.recv().unwrap() {
             Message::EventBatch { sorted, events, .. } => {
                 assert!(!sorted);
@@ -415,18 +402,14 @@ mod tests {
     fn tdigest_local_ships_centroids() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
         let vals: Vec<i64> = (0..1000).collect();
-        run_local(
+        run_stepper(
             NodeId(0),
             vec![events(&vals)],
             EngineKind::TdigestDistributed { compression: 50.0 },
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         match rx.recv().unwrap() {
             Message::DigestBatch {
                 count, centroids, ..
@@ -443,18 +426,14 @@ mod tests {
     fn kll_local_ships_weighted_summary() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
         let vals: Vec<i64> = (0..5000).collect();
-        run_local(
+        run_stepper(
             NodeId(0),
             vec![events(&vals)],
             EngineKind::KllDistributed { k: 128 },
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         match rx.recv().unwrap() {
             Message::SketchBatch {
                 count,
@@ -476,74 +455,29 @@ mod tests {
     }
 
     #[test]
-    fn stepper_matches_run_local_message_for_message() {
-        let win = |seed: i64| events(&[seed, seed + 2, seed + 1, seed + 3]);
-        let windows = vec![win(10), win(20), win(30)];
-
-        let (mut tx_a, mut rx_a) = link(NetworkCounters::new_shared());
-        let shared_a = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
-            NodeId(3),
-            windows.clone(),
-            dema_engine(),
-            &mut tx_a,
-            &shared_a,
-            &close_times,
-            None,
-        )
-        .unwrap();
-
-        let (mut tx_b, mut rx_b) = link(NetworkCounters::new_shared());
-        let shared_b = LocalShared::new(2);
-        let mut stepper = LocalStepper::new(NodeId(3), windows, dema_engine(), &shared_b);
-        let mut steps = 0;
-        while stepper.step(&mut tx_b).unwrap() {
-            steps += 1;
-        }
-        assert_eq!(steps, 4, "3 windows + StreamEnd");
-        assert!(stepper.is_done());
-        assert!(!stepper.step(&mut tx_b).unwrap(), "done stepper is inert");
-
-        drop(tx_a);
-        drop(tx_b);
-        loop {
-            match (rx_a.recv(), rx_b.recv()) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bytes(), b.to_bytes()),
-                (Err(_), Err(_)) => break,
-                (a, b) => panic!("stream lengths differ: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn responder_serves_candidates_and_gamma() {
         let (mut data_tx, mut data_rx) = link(NetworkCounters::new_shared());
-        let (mut ctl_tx, mut ctl_rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(4);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        run_stepper(
             NodeId(2),
             vec![events(&[5, 1, 9, 3, 7, 2, 8, 4])],
             dema_engine(),
             &mut data_tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
-
-        let shared2 = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || {
-            run_responder(NodeId(2), &mut ctl_rx, &mut data_tx, &shared2)
-        });
-        ctl_tx.send(&Message::GammaUpdate { gamma: 16 }).unwrap();
-        ctl_tx
-            .send(&Message::CandidateRequest {
+        );
+        let serve = |msg: Message, to_root: &mut dyn MsgSender| {
+            responder_step(NodeId(2), msg, to_root, &shared).unwrap()
+        };
+        let status = serve(Message::GammaUpdate { gamma: 16 }, &mut data_tx);
+        assert_eq!(status, ResponderStatus::Continue);
+        let status = serve(
+            Message::CandidateRequest {
                 window: WindowId(0),
                 slices: vec![1],
-            })
-            .unwrap();
+            },
+            &mut data_tx,
+        );
+        assert_eq!(status, ResponderStatus::Continue);
 
         let _syn = data_rx.recv().unwrap();
         let _end = data_rx.recv().unwrap();
@@ -562,10 +496,8 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        drop(ctl_tx); // root done → responder exits cleanly
-        handle.join().unwrap().unwrap();
-        assert_eq!(shared.gamma.load(Ordering::Relaxed), 16);
-        assert!(shared.store.lock().is_empty(), "served window evicted");
+        assert_eq!(shared.gamma.get(), 16);
+        assert!(shared.store.borrow().is_empty(), "served window evicted");
     }
 
     #[test]
@@ -575,32 +507,21 @@ mod tests {
         // store holds (Arc::ptr_eq), not a copy of it.
         use dema_core::shared::SharedRun;
         let (mut data_tx, mut data_rx) = link(NetworkCounters::new_shared());
-        let (mut ctl_tx, mut ctl_rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(4);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        run_stepper(
             NodeId(1),
             vec![events(&[5, 1, 9, 3, 7, 2, 8, 4])],
             dema_engine(),
             &mut data_tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         // Capture the stored run before the responder evicts the window.
-        let stored_run = shared.store.lock()[&0][1].events.clone();
-
-        let shared2 = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || {
-            run_responder(NodeId(1), &mut ctl_rx, &mut data_tx, &shared2)
-        });
-        ctl_tx
-            .send(&Message::CandidateRequest {
-                window: WindowId(0),
-                slices: vec![1],
-            })
-            .unwrap();
+        let stored_run = shared.store.borrow()[&0][1].events.clone();
+        let request = Message::CandidateRequest {
+            window: WindowId(0),
+            slices: vec![1],
+        };
+        responder_step(NodeId(1), request, &mut data_tx, &shared).unwrap();
         let _syn = data_rx.recv().unwrap();
         let _end = data_rx.recv().unwrap();
         match data_rx.recv().unwrap() {
@@ -612,61 +533,70 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        drop(ctl_tx);
-        handle.join().unwrap().unwrap();
     }
 
+    /// The sent cache is filed after the duty returns — also when the
+    /// uplink send failed — so a `ResendWindow` replays the very bytes the
+    /// failed send carried, window and stream end alike.
     #[test]
-    fn responder_rejects_unknown_window() {
-        let (mut data_tx, _data_rx) = link(NetworkCounters::new_shared());
-        let (mut ctl_tx, mut ctl_rx) = link(NetworkCounters::new_shared());
-        let shared = LocalShared::new(4);
-        ctl_tx
-            .send(&Message::CandidateRequest {
-                window: WindowId(7),
-                slices: vec![0],
-            })
-            .unwrap();
-        drop(ctl_tx);
-        let res = run_responder(NodeId(0), &mut ctl_rx, &mut data_tx, &shared);
-        assert!(matches!(res, Err(ClusterError::Protocol(_))));
+    fn failed_send_is_still_filed_for_resend() {
+        let (mut dead_tx, dead_rx) = link(NetworkCounters::new_shared());
+        drop(dead_rx);
+        let shared = LocalShared::resilient(4);
+        let mut stepper = LocalStepper::new(
+            NodeId(3),
+            vec![events(&[5, 1, 9, 3, 7, 2, 8, 4])],
+            dema_engine(),
+            &shared,
+        );
+        assert!(stepper.step(&mut dead_tx).is_err(), "uplink is gone");
+        assert!(matches!(
+            shared.sent.borrow().get(&0),
+            Some(Message::SynopsisBatch { .. })
+        ));
+        assert!(stepper.step(&mut dead_tx).is_err(), "uplink is gone");
+        assert!(!stepper.is_done(), "an unsent StreamEnd is not done");
+        assert!(matches!(
+            shared.sent.borrow().get(&END_KEY),
+            Some(Message::StreamEnd { .. })
+        ));
+
+        let (mut up_tx, mut up_rx) = link(NetworkCounters::new_shared());
+        for key in [0, END_KEY] {
+            let nack = Message::ResendWindow {
+                window: WindowId(key),
+                attempt: 1,
+            };
+            let status = responder_step(NodeId(3), nack, &mut up_tx, &shared).unwrap();
+            assert_eq!(status, ResponderStatus::Continue);
+            let cached = shared.sent.borrow()[&key].to_bytes();
+            assert_eq!(up_rx.recv().unwrap().to_bytes(), cached);
+        }
     }
 
     #[test]
     fn store_is_bounded() {
-        let (mut tx, rx) = link(NetworkCounters::new_shared());
-        let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
-        let windows: Vec<Vec<Event>> = (0..100).map(|_| events(&[1, 2])).collect();
-        run_local(
-            NodeId(0),
-            windows,
-            dema_engine(),
-            &mut tx,
-            &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
-        assert!(shared.store.lock().len() <= STORE_WINDOW_CAP);
-        drop(rx);
+        for shared in [LocalShared::new(2), LocalShared::resilient(2)] {
+            let (mut tx, rx) = link(NetworkCounters::new_shared());
+            let windows: Vec<Vec<Event>> = (0..100).map(|_| events(&[1, 2])).collect();
+            run_stepper(NodeId(0), windows, dema_engine(), &mut tx, &shared);
+            assert!(shared.store.borrow().len() <= STORE_WINDOW_CAP);
+            let sent = shared.sent.borrow();
+            assert!(sent.len() <= STORE_WINDOW_CAP);
+            assert_eq!(
+                sent.contains_key(&END_KEY),
+                shared.retain_sent,
+                "the stream-end slot survives on resilient runs"
+            );
+            drop(rx);
+        }
     }
 
     #[test]
     fn empty_window_still_reports() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(4);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
-            NodeId(0),
-            vec![vec![]],
-            dema_engine(),
-            &mut tx,
-            &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        run_stepper(NodeId(0), vec![vec![]], dema_engine(), &mut tx, &shared);
         match rx.recv().unwrap() {
             Message::SynopsisBatch { synopses, .. } => assert!(synopses.is_empty()),
             other => panic!("{other:?}"),

@@ -10,15 +10,16 @@
 //! responder link) or forwards the envelope one tier further down.
 //!
 //! Shutdown cascades exactly like the star: the root drops its control
-//! senders, the top relay sees its parent's downlink disconnect and drops
-//! its own child downlinks, and so on until the leaf responders exit.
+//! senders, the top relay sees its parent's downlink disconnect and closes
+//! its own child downlinks, and so on until the leaf responders retire.
+//! [`RelayRole`] is the relay as a reactor role (DESIGN.md §13).
 
 use dema_core::sync::Mutex;
-use dema_net::{MsgReceiver, MsgSender, NetError};
+use dema_net::{MsgSender, NetError};
 use dema_wire::Message;
 use std::sync::Arc;
-use std::time::Duration;
 
+use crate::host::{Outbound, Stepper};
 use crate::ClusterError;
 
 /// A relay's downward handle on one child subtree.
@@ -64,105 +65,123 @@ impl MsgSender for RoutedSender {
     }
 }
 
-/// Drive one relay node until both directions drain.
+/// The relay role's first sender: the uplink to its parent. Child
+/// downlinks follow at `1..`.
+pub const RELAY_PARENT_UP: usize = 0;
+
+/// One downward route of a [`RelayRole`].
+pub struct RelayChildRoute {
+    /// Inclusive leaf-id range the child subtree covers.
+    pub range: (u32, u32),
+    /// The role's sender index for this child's downlink.
+    pub via: usize,
+    /// Leaf children receive the unwrapped control message; inner children
+    /// receive the [`Message::Routed`] envelope unchanged.
+    pub leaf: bool,
+}
+
+/// A relay node hosted on a reactor: sources `0..n_ups` are the child
+/// uplinks, source `n_ups` (when wired) is the parent's downlink.
 ///
-/// Upward: every message from `children_up` is forwarded to `parent_up`
-/// verbatim. Downward: [`Message::Routed`] envelopes from `parent_down` are
+/// Upward: every message from a child uplink is forwarded to the parent
+/// verbatim. Downward: [`Message::Routed`] envelopes from the parent are
 /// delivered to the child whose leaf range covers the destination —
-/// unwrapped for leaf children, forwarded as-is otherwise. The relay exits
-/// once every child uplink has disconnected *and* the parent downlink is
-/// gone (or was never wired, for engines without a control plane).
-///
-/// # Errors
-/// A transport failure on a live link, a downward message without an
-/// envelope, or a destination no child covers aborts the relay.
-pub fn run_relay(
-    children_up: Vec<Box<dyn MsgReceiver>>,
-    mut parent_up: Box<dyn MsgSender>,
-    mut parent_down: Option<Box<dyn MsgReceiver>>,
-    mut children_down: Vec<RelayChild>,
-) -> Result<(), ClusterError> {
-    let mut ups: Vec<Option<Box<dyn MsgReceiver>>> = children_up.into_iter().map(Some).collect();
-    let mut idle_sweeps = 0u32;
-    loop {
-        let mut progressed = false;
+/// unwrapped for leaf children, forwarded as-is otherwise. A downward
+/// message without an envelope, or a destination no child covers, is a
+/// protocol error. The role is done once every child uplink has
+/// disconnected *and* the parent downlink is gone (or was never wired, for
+/// engines without a control plane).
+pub struct RelayRole {
+    ups_open: Vec<bool>,
+    /// How many of `ups_open` are still `true`, so `done` stays O(1).
+    n_ups_open: usize,
+    down_open: bool,
+    children: Vec<RelayChildRoute>,
+}
 
-        for slot in &mut ups {
-            let Some(rx) = slot.as_mut() else { continue };
-            loop {
-                match rx.try_recv() {
-                    Ok(Some(msg)) => {
-                        progressed = true;
-                        parent_up.send(&msg)?;
-                    }
-                    Ok(None) => break,
-                    Err(NetError::Disconnected) => {
-                        *slot = None;
-                        progressed = true;
-                        break;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
+impl RelayRole {
+    /// A relay with `n_ups` child uplinks and the given downward routes;
+    /// `has_down` is false for engines without a control plane.
+    pub fn new(n_ups: usize, children: Vec<RelayChildRoute>, has_down: bool) -> RelayRole {
+        RelayRole {
+            ups_open: vec![true; n_ups],
+            n_ups_open: n_ups,
+            down_open: has_down,
+            children,
         }
+    }
+}
 
-        let mut close_down = false;
-        if let Some(down) = parent_down.as_mut() {
-            loop {
-                match down.try_recv() {
-                    Ok(Some(Message::Routed { dest, inner })) => {
-                        progressed = true;
-                        let child = children_down
-                            .iter_mut()
-                            .find(|c| c.range.0 <= dest.0 && dest.0 <= c.range.1)
-                            .ok_or_else(|| {
-                                ClusterError::Protocol(format!(
-                                    "relay: no child covers destination node {}",
-                                    dest.0
-                                ))
-                            })?;
-                        if child.leaf {
-                            child.sender.send(&inner)?;
-                        } else {
-                            child.sender.send(&Message::Routed { dest, inner })?;
-                        }
-                    }
-                    Ok(Some(msg)) => {
-                        return Err(ClusterError::Protocol(format!(
-                            "relay: unrouted downward message {msg:?}"
-                        )));
-                    }
-                    Ok(None) => break,
-                    Err(NetError::Disconnected) => {
-                        close_down = true;
-                        break;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
-        if close_down {
-            // The root (or the relay above) is done: cascade the shutdown by
-            // dropping our own downlinks so the tier below exits too.
-            parent_down = None;
-            children_down.clear();
-            progressed = true;
-        }
-
-        if ups.iter().all(Option::is_none) && parent_down.is_none() {
+impl Stepper for RelayRole {
+    fn on_message(
+        &mut self,
+        link: usize,
+        msg: Message,
+        out: &mut Vec<Outbound>,
+    ) -> Result<(), ClusterError> {
+        if link < self.ups_open.len() {
+            // Upward traffic forwards verbatim — moved, never cloned.
+            out.push(Outbound::Send {
+                via: RELAY_PARENT_UP,
+                msg,
+            });
             return Ok(());
         }
+        match msg {
+            Message::Routed { dest, inner } => {
+                let child = self
+                    .children
+                    .iter()
+                    .find(|c| c.range.0 <= dest.0 && dest.0 <= c.range.1)
+                    .ok_or_else(|| {
+                        ClusterError::Protocol(format!(
+                            "relay: no child covers destination node {}",
+                            dest.0
+                        ))
+                    })?;
+                let msg = if child.leaf {
+                    *inner
+                } else {
+                    Message::Routed { dest, inner }
+                };
+                out.push(Outbound::Send {
+                    via: child.via,
+                    msg,
+                });
+                Ok(())
+            }
+            msg => Err(ClusterError::Protocol(format!(
+                "relay: unrouted downward message {msg:?}"
+            ))),
+        }
+    }
 
-        if progressed {
-            idle_sweeps = 0;
+    fn on_timer(&mut self, _token: u64, _out: &mut Vec<Outbound>) -> Result<(), ClusterError> {
+        Ok(())
+    }
+
+    fn on_disconnect(&mut self, link: usize, out: &mut Vec<Outbound>) -> Result<(), ClusterError> {
+        if let Some(open) = self.ups_open.get_mut(link) {
+            if std::mem::replace(open, false) {
+                self.n_ups_open -= 1;
+            }
         } else {
-            idle_sweeps += 1;
-            if idle_sweeps > 64 {
-                std::thread::sleep(Duration::from_micros(20));
-            } else {
-                std::thread::yield_now();
+            // The root (or the relay above) is done: cascade the shutdown
+            // by closing our own downlinks so the tier below exits too.
+            self.down_open = false;
+            for c in &self.children {
+                out.push(Outbound::Close { via: c.via });
             }
         }
+        Ok(())
+    }
+
+    fn on_wake(&mut self, _out: &mut Vec<Outbound>) -> Result<(), ClusterError> {
+        Ok(())
+    }
+
+    fn done(&self) -> bool {
+        !self.down_open && self.n_ups_open == 0
     }
 }
 
@@ -173,6 +192,7 @@ mod tests {
     use dema_core::sync::rank;
     use dema_metrics::NetworkCounters;
     use dema_net::mem::link;
+    use dema_net::MsgReceiver;
 
     #[test]
     fn routed_sender_wraps_every_message() {
@@ -198,135 +218,5 @@ mod tests {
             Message::Routed { dest, .. } => assert_eq!(dest, NodeId(7)),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn relay_forwards_up_and_routes_down() {
-        let mk = || link(NetworkCounters::new_shared());
-        let (mut child0_tx, child0_rx) = mk();
-        let (mut child1_tx, child1_rx) = mk();
-        let (parent_up_tx, mut parent_up_rx) = mk();
-        let (mut parent_down_tx, parent_down_rx) = mk();
-        let (down0_tx, mut down0_rx) = mk();
-        let (down1_tx, mut down1_rx) = mk();
-
-        let handle = std::thread::spawn(move || {
-            run_relay(
-                vec![Box::new(child0_rx), Box::new(child1_rx)],
-                Box::new(parent_up_tx),
-                Some(Box::new(parent_down_rx)),
-                vec![
-                    RelayChild {
-                        range: (0, 0),
-                        sender: Box::new(down0_tx),
-                        leaf: true,
-                    },
-                    RelayChild {
-                        range: (1, 3),
-                        sender: Box::new(down1_tx),
-                        leaf: false,
-                    },
-                ],
-            )
-        });
-
-        // Upward messages pass through verbatim.
-        child0_tx
-            .send(&Message::StreamEnd {
-                node: NodeId(0),
-                late_events: 0,
-            })
-            .unwrap();
-        child1_tx
-            .send(&Message::StreamEnd {
-                node: NodeId(2),
-                late_events: 1,
-            })
-            .unwrap();
-        let mut ends = [parent_up_rx.recv().unwrap(), parent_up_rx.recv().unwrap()];
-        ends.sort_by_key(|m| match m {
-            Message::StreamEnd { node, .. } => node.0,
-            _ => u32::MAX,
-        });
-        assert!(matches!(
-            ends[0],
-            Message::StreamEnd {
-                node: NodeId(0),
-                late_events: 0
-            }
-        ));
-        assert!(matches!(
-            ends[1],
-            Message::StreamEnd {
-                node: NodeId(2),
-                late_events: 1
-            }
-        ));
-
-        // Downward: leaf child gets the unwrapped message…
-        parent_down_tx
-            .send(&Message::Routed {
-                dest: NodeId(0),
-                inner: Box::new(Message::GammaUpdate { gamma: 9 }),
-            })
-            .unwrap();
-        assert!(matches!(
-            down0_rx.recv().unwrap(),
-            Message::GammaUpdate { gamma: 9 }
-        ));
-        // …while an inner child receives the envelope unchanged.
-        parent_down_tx
-            .send(&Message::Routed {
-                dest: NodeId(2),
-                inner: Box::new(Message::GammaUpdate { gamma: 5 }),
-            })
-            .unwrap();
-        match down1_rx.recv().unwrap() {
-            Message::Routed { dest, inner } => {
-                assert_eq!(dest, NodeId(2));
-                assert!(matches!(*inner, Message::GammaUpdate { gamma: 5 }));
-            }
-            other => panic!("{other:?}"),
-        }
-
-        // Shutdown cascade: close both directions and the relay exits.
-        drop(child0_tx);
-        drop(child1_tx);
-        drop(parent_down_tx);
-        handle.join().unwrap().unwrap();
-        // Downstream links died with the relay.
-        assert!(matches!(down0_rx.recv(), Err(NetError::Disconnected)));
-        assert!(matches!(down1_rx.recv(), Err(NetError::Disconnected)));
-        assert!(matches!(parent_up_rx.recv(), Err(NetError::Disconnected)));
-    }
-
-    #[test]
-    fn relay_rejects_unrouted_and_unowned() {
-        let mk = || link(NetworkCounters::new_shared());
-        let (child_tx, child_rx) = mk();
-        let (parent_up_tx, _parent_up_rx) = mk();
-        let (mut parent_down_tx, parent_down_rx) = mk();
-        let (down_tx, _down_rx) = mk();
-        let handle = std::thread::spawn(move || {
-            run_relay(
-                vec![Box::new(child_rx)],
-                Box::new(parent_up_tx),
-                Some(Box::new(parent_down_rx)),
-                vec![RelayChild {
-                    range: (0, 1),
-                    sender: Box::new(down_tx),
-                    leaf: true,
-                }],
-            )
-        });
-        parent_down_tx
-            .send(&Message::Routed {
-                dest: NodeId(5),
-                inner: Box::new(Message::GammaUpdate { gamma: 2 }),
-            })
-            .unwrap();
-        let err = handle.join().unwrap().unwrap_err();
-        assert!(matches!(err, ClusterError::Protocol(_)), "{err}");
-        drop(child_tx);
     }
 }

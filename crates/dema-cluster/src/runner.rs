@@ -31,12 +31,10 @@ use dema_net::{MsgReceiver, MsgSender, NetError, SharedCounters};
 
 use crate::config::{ClusterConfig, EngineKind, Topology, TransportKind};
 use crate::engines::{self, ResilienceCtx};
-use crate::host::{
-    LocalRole, RelayChildRoute, RelayRole, ResponderRole, RoleHost, RootRole, Stepper,
-};
+use crate::host::{LocalRole, ResponderRole, RoleHost, RootRole, Stepper};
 use crate::local::{stream_windows, CloseTimes, LocalShared, LocalStepper};
 use crate::membership::EpochLedger;
-use crate::relay::{RelayChild, RoutedSender};
+use crate::relay::{RelayChild, RelayChildRoute, RelayRole, RoutedSender};
 use crate::report::{RunReport, TierTraffic};
 use crate::root::RootNode;
 use crate::ClusterError;
@@ -476,8 +474,7 @@ fn run_cluster_inner(
 
     // Shard the node roles over `threads` reactors: each shard hosts its
     // bucket of locals (with their responders) and relays on ONE event
-    // loop. The shard count doubles as the per-node sort budget, keeping
-    // the `DEMA_THREADS` semantics of the threaded runner.
+    // loop, and every window is sorted inline on its leaf's shard.
     let engine = config.engine;
     let pace = config.pace_window_ms;
     let sort_threads = config
@@ -679,7 +676,8 @@ struct RelaySpec {
 /// Host one shard's bucket of locals, responders, and relays on a single
 /// reactor event loop, and return every error the hosted roles recorded
 /// (a failing role retires — dropping its links — without stopping the
-/// shard, matching the threaded runner's per-thread error semantics).
+/// shard). A local's two roles borrow one `!Sync` [`LocalShared`], so they
+/// must share this shard.
 #[allow(clippy::too_many_arguments)] // one-shot plumbing from run_cluster_inner
 fn run_shard(
     engine: EngineKind,

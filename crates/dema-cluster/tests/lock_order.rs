@@ -45,7 +45,8 @@ fn repeated_threaded_runs_are_bit_identical() {
 }
 
 /// A whole windowed run under the armed tracker: every ranked lock the
-/// runtime takes (downlinks, throttle, store, sent cache, close times) respects the global order, or the run panics here.
+/// runtime takes (downlinks, throttle, close times) respects the global
+/// order, or the run panics here.
 #[test]
 fn full_run_respects_the_lock_ranking_under_the_tracker() {
     let mut config = ClusterConfig::dema_fixed(64, Quantile::MEDIAN);
@@ -62,16 +63,16 @@ fn inverted_cluster_ranks_fire_the_tracker() {
     use dema_core::sync::{rank, Mutex};
     use dema_core::DemaError;
 
-    // local.store (rank 50) is ranked above relay.downlink (rank 20):
-    // holding the store while taking a downlink is the inversion the
-    // static rule R10 and this tracker both exist to catch.
-    let store = Mutex::new(rank::LOCAL_STORE, ());
+    // cluster.close_times (rank 54) is ranked above relay.downlink
+    // (rank 20): holding the close-time map while taking a downlink is the
+    // inversion the static rule R10 and this tracker both exist to catch.
+    let close_times = Mutex::new(rank::CLOSE_TIMES, ());
     let downlink = Mutex::new(rank::ROUTED_DOWNLINK, ());
-    let _held = store.lock();
+    let _held = close_times.lock();
     let err = downlink.lock_checked().err();
     match err {
         Some(DemaError::LockOrderViolation { held, acquiring }) => {
-            assert_eq!(held, "local.store(rank 50)");
+            assert_eq!(held, "cluster.close_times(rank 54)");
             assert_eq!(acquiring, "relay.downlink(rank 20)");
         }
         Some(other) => panic!("wrong error: {other}"),

@@ -13,13 +13,13 @@
 //! moment an acquisition would break the order — *before* blocking, so
 //! the violation is caught deterministically on every run rather than
 //! only on the unlucky interleaving that actually deadlocks. In release
-//! builds without `strict` the wrappers compile to zero-cost
-//! passthroughs over `std::sync`.
+//! builds without `strict` the [`Mutex`] compiles to a zero-cost
+//! passthrough over `std::sync::Mutex`.
 //!
 //! The static side of the same contract is `dema-lint`'s concurrency
 //! pass (rules R10–R13, DESIGN.md §8): R13 forbids raw `std::sync` /
 //! `parking_lot` locks in the hot-path crates so every lock is forced
-//! through these wrappers, and R10 cross-checks the nesting the lexer
+//! through the ranked [`Mutex`], and R10 cross-checks the nesting the lexer
 //! can see against the acquisition graph. The rank table lives in
 //! [`rank`]; DESIGN.md §8 documents rank → lock → owning module.
 //!
@@ -31,9 +31,8 @@
 use crate::error::Result;
 use std::fmt;
 use std::sync::PoisonError;
-use std::time::Duration;
 
-/// Static rank carried by every [`Mutex`]/[`RwLock`] in the runtime.
+/// Static rank carried by every [`Mutex`] in the runtime.
 ///
 /// `order` is the position in the global acquisition order (strictly
 /// increasing along any nesting chain); `label` is the site name used
@@ -90,10 +89,6 @@ pub mod rank {
     pub const NET_STEP_QUEUE: Rank = Rank::new(32, "net.step_queue");
     /// Wire buffer pool spares (`dema-wire::pool`).
     pub const WIRE_BUF_POOL: Rank = Rank::new(40, "wire.buf_pool");
-    /// Local engine slice store (`dema-cluster::engines::dema`).
-    pub const LOCAL_STORE: Rank = Rank::new(50, "local.store");
-    /// Local engine sent-message cache (`dema-cluster::engines::dema`).
-    pub const LOCAL_SENT: Rank = Rank::new(52, "local.sent");
     /// Root-side window close-time map (`dema-cluster::local`).
     pub const CLOSE_TIMES: Rank = Rank::new(54, "cluster.close_times");
 }
@@ -200,7 +195,6 @@ impl<T> Mutex<T> {
         let token = grant(self.rank);
         MutexGuard {
             inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
-            rank: self.rank,
             _token: token,
         }
     }
@@ -212,7 +206,6 @@ impl<T> Mutex<T> {
         let token = tracker::acquire(self.rank)?;
         Ok(MutexGuard {
             inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
-            rank: self.rank,
             _token: token,
         })
     }
@@ -231,7 +224,6 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 /// dropped.
 pub struct MutexGuard<'a, T> {
     inner: std::sync::MutexGuard<'a, T>,
-    rank: Rank,
     _token: tracker::Token,
 }
 
@@ -245,199 +237,6 @@ impl<T> std::ops::Deref for MutexGuard<'_, T> {
 impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
-    }
-}
-
-/// A reader-writer lock carrying a static [`Rank`]. Read and write
-/// acquisitions participate in the rank order identically: a recursive
-/// read of the same lock is flagged too, since it can deadlock against
-/// a writer queued between the two reads.
-pub struct RwLock<T> {
-    rank: Rank,
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Create a ranked reader-writer lock around `value`.
-    pub const fn new(rank: Rank, value: T) -> Self {
-        RwLock {
-            rank,
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// This lock's static rank.
-    pub const fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    /// Acquire a shared read guard, panicking on rank inversion in
-    /// checked builds. Poisoning is absorbed.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let token = grant(self.rank);
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-            _token: token,
-        }
-    }
-
-    /// Acquire an exclusive write guard, panicking on rank inversion in
-    /// checked builds. Poisoning is absorbed.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let token = grant(self.rank);
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-            _token: token,
-        }
-    }
-
-    /// Like [`RwLock::read`] but returning the violation as a value.
-    pub fn read_checked(&self) -> Result<RwLockReadGuard<'_, T>> {
-        let token = tracker::acquire(self.rank)?;
-        Ok(RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-            _token: token,
-        })
-    }
-
-    /// Like [`RwLock::write`] but returning the violation as a value.
-    pub fn write_checked(&self) -> Result<RwLockWriteGuard<'_, T>> {
-        let token = tracker::acquire(self.rank)?;
-        Ok(RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-            _token: token,
-        })
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock")
-            .field("rank", &self.rank)
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-/// Shared guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-    _token: tracker::Token,
-}
-
-impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// Exclusive guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-    _token: tracker::Token,
-}
-
-impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-/// Condition variable paired with a ranked [`Mutex`].
-///
-/// While a thread is blocked in [`Condvar::wait`] the mutex is
-/// *released*, so the tracker pops its rank for the duration of the
-/// wait and re-acquires it (re-checked) when the wait returns. Waiting
-/// on a condvar is therefore *not* "holding a lock across a blocking
-/// call" — it is the one sanctioned block-while-locked primitive, and
-/// lint rule R11 deliberately does not treat `wait` as a needle.
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically release `guard` and block until notified, then
-    /// re-acquire the mutex (and its tracker rank). Poisoning absorbed.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        let MutexGuard {
-            inner,
-            rank,
-            _token,
-        } = guard;
-        drop(_token); // the mutex is released for the duration of the wait
-        let inner = self
-            .inner
-            .wait(inner)
-            .unwrap_or_else(PoisonError::into_inner);
-        MutexGuard {
-            inner,
-            rank,
-            _token: grant(rank),
-        }
-    }
-
-    /// [`Condvar::wait`] with a timeout; the boolean reports whether the
-    /// wait timed out.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        dur: Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        let MutexGuard {
-            inner,
-            rank,
-            _token,
-        } = guard;
-        drop(_token);
-        let (inner, timeout) = self
-            .inner
-            .wait_timeout(inner, dur)
-            .unwrap_or_else(PoisonError::into_inner);
-        (
-            MutexGuard {
-                inner,
-                rank,
-                _token: grant(rank),
-            },
-            timeout.timed_out(),
-        )
-    }
-
-    /// Wake one blocked waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake every blocked waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
     }
 }
 
@@ -496,7 +295,7 @@ mod tests {
             let _gb = b.lock();
             let _ga = a.lock(); // fires
         });
-        let payload = outcome.err().expect("lock() must panic on inversion");
+        let payload = outcome.expect_err("lock() must panic on inversion");
         let msg = payload
             .downcast_ref::<String>()
             .cloned()
@@ -535,61 +334,6 @@ mod tests {
         // Everything released; full chain acquirable again.
         let _ga = a.lock();
         let _gc = c.lock();
-    }
-
-    #[test]
-    fn rwlock_participates_in_the_rank_order() {
-        let data = RwLock::new(LOW, vec![1, 2, 3]);
-        {
-            let r = data.read();
-            assert_eq!(r.len(), 3);
-        }
-        {
-            let mut w = data.write();
-            w.push(4);
-        }
-        assert_eq!(data.read_checked().map(|g| g.len()), Ok(4));
-        assert_eq!(data.write_checked().map(|g| g.len()), Ok(4));
-    }
-
-    #[test]
-    #[cfg(any(debug_assertions, feature = "strict"))]
-    fn rwlock_read_under_higher_rank_is_reported() {
-        let data = RwLock::new(LOW, 0u8);
-        let top = Mutex::new(HIGH, ());
-        let _gt = top.lock();
-        assert!(data.read_checked().is_err());
-        assert!(data.write_checked().is_err());
-    }
-
-    #[test]
-    fn condvar_wait_releases_and_reacquires_the_rank() {
-        use std::sync::Arc;
-        let pair = Arc::new((Mutex::new(HIGH, false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let handle = std::thread::spawn(move || {
-            let (lock, cvar) = &*pair2;
-            let mut ready = lock.lock();
-            while !*ready {
-                ready = cvar.wait(ready);
-            }
-            *ready
-        });
-        {
-            let (lock, cvar) = &*pair;
-            *lock.lock() = true;
-            cvar.notify_all();
-        }
-        assert!(handle.join().ok() == Some(true));
-    }
-
-    #[test]
-    fn condvar_wait_timeout_reports_expiry() {
-        let lock = Mutex::new(HIGH, ());
-        let cvar = Condvar::new();
-        let guard = lock.lock();
-        let (_guard, timed_out) = cvar.wait_timeout(guard, Duration::from_millis(1));
-        assert!(timed_out);
     }
 
     #[test]

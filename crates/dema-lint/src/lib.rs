@@ -62,7 +62,7 @@
 //!   unbounded queue turns backpressure into unbounded memory growth.
 //!   Deliberately-unbounded links carry `// lint: allow(R12): <reason>`.
 //! * **R13** *(concurrency mode)* — hot-path crates must take locks
-//!   through the ranked `dema_core::sync` wrappers: raw
+//!   through the ranked `dema_core::sync::Mutex`: raw
 //!   `std::sync::Mutex` / `RwLock` / `Condvar` or any `parking_lot`
 //!   mention escapes the runtime lock-order tracker. The wrapper module
 //!   itself (`dema-core/src/sync.rs`) is exempt.
@@ -302,7 +302,7 @@ fn mask_source(text: &str) -> String {
                 if bytes.get(j) == Some(&b'"') {
                     j += 1;
                     let closer: Vec<u8> = std::iter::once(b'"')
-                        .chain(std::iter::repeat(b'#').take(hashes))
+                        .chain(std::iter::repeat_n(b'#', hashes))
                         .collect();
                     while j < bytes.len() && !bytes[j..].starts_with(&closer) {
                         j += 1;
@@ -357,9 +357,7 @@ fn mask_source(text: &str) -> String {
                     }
                 }
                 if bytes.get(j) == Some(&b'\'') && j > i + 1 {
-                    for k in i..=j {
-                        out[k] = b' ';
-                    }
+                    out[i..=j].fill(b' ');
                     i = j + 1;
                 } else {
                     i += 1; // lifetime, leave it
@@ -781,7 +779,7 @@ fn collect_decl_name(line: &str, ty: &str, names: &mut BTreeSet<String>) {
         return;
     };
     // The identifier left of the last single `:` (not `::`) before the type.
-    let head = line[..ty_at].as_bytes();
+    let head = &line.as_bytes()[..ty_at];
     let mut colon = None;
     let mut k = 0;
     while k < head.len() {
@@ -1158,7 +1156,7 @@ fn check_r12(file: &SourceFile, violations: &mut Vec<Violation>) {
 /// R13: raw lock types in hot-path crates. Any `parking_lot` mention, a
 /// qualified `std::sync::Mutex` / `RwLock` / `Condvar`, or a
 /// `use std::sync::{..}` list naming one of them escapes the ranked
-/// `dema_core::sync` wrappers and the runtime lock-order tracker.
+/// `dema_core::sync::Mutex` and the runtime lock-order tracker.
 fn check_r13(file: &SourceFile, violations: &mut Vec<Violation>) {
     if !conc_in_scope(file) {
         return;
@@ -1175,7 +1173,7 @@ fn check_r13(file: &SourceFile, violations: &mut Vec<Violation>) {
             token: token.to_string(),
             message: format!(
                 "raw `{token}` lock in a hot-path crate escapes the runtime lock-order \
-                 tracker; use the ranked `dema_core::sync` wrappers (or tag with \
+                 tracker; use the ranked `dema_core::sync::Mutex` (or tag with \
                  `// lint: allow(R13): <reason>`)"
             ),
         });
@@ -2220,7 +2218,7 @@ pub const RULES: [RuleInfo; 17] = [
     },
     RuleInfo {
         id: "R13",
-        title: "(--concurrency) hot-path locks go through dema_core::sync wrappers",
+        title: "(--concurrency) hot-path locks go through the ranked dema_core::sync::Mutex",
         rationale: "raw std::sync / parking_lot locks escape the ranked runtime tracker, \
                     so an inversion they join is invisible until it deadlocks in \
                     production; the wrapper module itself is exempt",

@@ -259,8 +259,8 @@ fn gen_inputs(cfg: &ExploreConfig) -> Vec<Vec<Vec<Event>>> {
 }
 
 /// The system under test for one path replay. Borrows the per-replay
-/// `LocalShared` cells (the steppers and responder share them, as in the
-/// threaded runner).
+/// `LocalShared` cells (the steppers and responder share them, as the two
+/// roles of a leaf do on its reactor shard).
 struct System<'a> {
     root: RootNode,
     steppers: Vec<LocalStepper<'a>>,
@@ -591,10 +591,10 @@ impl<'a> System<'a> {
                 match ob.when {
                     spec::Condition::Always => true,
                     spec::Condition::WindowStored => {
-                        self.shareds[i].store.lock().contains_key(&window)
+                        self.shareds[i].store.borrow().contains_key(&window)
                     }
                     spec::Condition::WindowCached => {
-                        self.shareds[i].sent.lock().contains_key(&window)
+                        self.shareds[i].sent.borrow().contains_key(&window)
                     }
                 }
             })

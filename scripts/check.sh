@@ -91,10 +91,11 @@
 #                      every leaf per event is quadratic here (~15 s on a
 #                      2-core box); the O(1) completion check takes ~1 s.
 #   bench --no-run   — criterion benches must keep compiling
-#   clippy           — deny the two lints that reintroduce hot-path copies:
-#                      redundant_clone (event buffers must be shared, not
-#                      cloned) and needless_collect (no intermediate Vecs
-#                      on the merge paths). R1's compiler-side twin — deny
+#   clippy           — every warning is an error (-D warnings), and the
+#                      two lints that reintroduce hot-path copies are
+#                      denied explicitly: redundant_clone (event buffers
+#                      must be shared, not cloned) and needless_collect
+#                      (no intermediate Vecs on the merge paths). R1's compiler-side twin — deny
 #                      unwrap/expect in non-test library code — lives as
 #                      in-crate attributes on the four protocol crates and
 #                      fires during this same pass.
@@ -132,7 +133,7 @@ cargo run -q --release -p dema --features strict --bin dema-server -- \
     --leaves 8 --windows 2 --events 50 --transport tcp --quiet
 cargo run -q --release -p dema --example tcp_cluster > /dev/null
 cargo bench --no-run
-cargo clippy --workspace --all-targets -- \
+cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::redundant_clone \
     -D clippy::needless_collect
 

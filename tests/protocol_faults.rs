@@ -195,17 +195,14 @@ fn corrupted_wire_bytes_never_decode() {
 fn responder_failure_surfaces_as_error_not_wrong_answer() {
     // A local whose store lost the window must produce an error on the
     // responder side (protocol violation), never a fabricated reply.
-    use dema::cluster::local::{run_responder, LocalShared};
-    let (mut data_tx, _data_rx) = link(NetworkCounters::new_shared());
-    let (mut ctl_tx, mut ctl_rx) = link(NetworkCounters::new_shared());
+    use dema::cluster::local::{responder_step, LocalShared};
+    let (mut data_tx, mut data_rx) = link(NetworkCounters::new_shared());
     let shared = LocalShared::new(4);
-    ctl_tx
-        .send(&Message::CandidateRequest {
-            window: WindowId(5),
-            slices: vec![0],
-        })
-        .unwrap();
-    drop(ctl_tx);
-    let res = run_responder(NodeId(0), &mut ctl_rx, &mut data_tx, &shared);
+    let request = Message::CandidateRequest {
+        window: WindowId(5),
+        slices: vec![0],
+    };
+    let res = responder_step(NodeId(0), request, &mut data_tx, &shared);
+    assert!(matches!(data_rx.try_recv(), Ok(None)), "no reply was sent");
     assert!(matches!(res, Err(ClusterError::Protocol(_))));
 }
