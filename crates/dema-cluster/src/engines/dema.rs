@@ -24,7 +24,7 @@
 //! ## Fault tolerance (resilient runs)
 //!
 //! With a [`crate::config::Resilience`] config, both stages carry a
-//! deadline in the engine's [`Supervisor`]. A stage-1 expiry NACKs missing
+//! deadline in the engine's `Supervisor`. A stage-1 expiry NACKs missing
 //! synopses with [`Message::ResendWindow`]; a stage-2 expiry re-requests
 //! the missing nodes' candidate slices with [`Message::CandidateRetry`].
 //! Locals that exhaust the liveness or retry budget are declared dead, and
@@ -89,7 +89,7 @@ pub struct LocalShared {
     /// must be idempotent) and cache sent uplink messages for resends.
     pub retain_sent: bool,
     /// Last data-plane uplink message per window, for `ResendWindow`
-    /// NACKs; the stream-end message lives under [`END_KEY`]'s slot.
+    /// NACKs; the stream-end message lives under `END_KEY`'s slot.
     /// Populated only when `retain_sent` is set.
     pub sent: RefCell<HashMap<u64, Message>>,
     /// Shard count of the run, passed through to

@@ -2,7 +2,7 @@
 //!
 //! The protocol's seed behavior is "a lost message hangs its window". When a
 //! run carries a [`Resilience`] config, each root engine owns a
-//! [`Supervisor`]: a per-window deadline table plus a per-node liveness
+//! `Supervisor`: a per-window deadline table plus a per-node liveness
 //! budget. A deadline is armed when the first contribution for a window
 //! arrives (or, once the run goes quiescent, for every window that should
 //! exist); when it expires the engine NACKs the missing nodes —

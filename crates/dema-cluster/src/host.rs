@@ -16,7 +16,7 @@
 //!   `Wake` events (or pacing timers when `pace_window_ms` is set).
 //! * [`ResponderRole`] — serves the root's control messages from the
 //!   node's slice store via [`responder_step`], one message at a time.
-//! * [`RelayRole`] (in [`crate::relay`]) — forwards uplink traffic
+//! * [`RelayRole`](crate::relay::RelayRole) — forwards uplink traffic
 //!   verbatim and routes [`Message::Routed`] envelopes downward.
 //! * [`RootRole`] — wraps [`RootNode`]; retry/liveness deadlines become
 //!   reactor timers ([`RootNode::next_deadline`]) instead of a per-sweep
@@ -572,7 +572,7 @@ mod tests {
     use dema_core::selector::SelectionStrategy;
     use dema_metrics::{NetworkCounters, ReactorStats};
     use dema_net::mem::link;
-    use dema_net::reactor::{Reactor, RecvSource};
+    use dema_net::reactor::Reactor;
     use dema_net::MsgReceiver;
 
     fn events(vals: &[i64]) -> Vec<Event> {
@@ -619,7 +619,7 @@ mod tests {
                 ResponderRole::new(NodeId(0), &shared),
                 vec![Box::new(resp_tx)],
             );
-            reactor.register(1, 0, Box::new(RecvSource(Box::new(ctl_rx))));
+            reactor.register(1, 0, Box::new(ctl_rx));
             let mut handlers: Vec<&mut dyn Handler<ClusterError>> =
                 vec![&mut local_host, &mut resp_host];
             reactor.run(&mut handlers).unwrap();
@@ -640,8 +640,8 @@ mod tests {
         );
         let mut reactor = Reactor::new(ReactorStats::new_shared());
         let mut root_host = RoleHost::new(RootRole::new(root), Vec::new());
-        reactor.register(0, 0, Box::new(RecvSource(Box::new(up_rx))));
-        reactor.register(0, 1, Box::new(RecvSource(Box::new(resp_rx))));
+        reactor.register(0, 0, Box::new(up_rx));
+        reactor.register(0, 1, Box::new(resp_rx));
         {
             let mut handlers: Vec<&mut dyn Handler<ClusterError>> = vec![&mut root_host];
             reactor.run(&mut handlers).unwrap();
@@ -700,7 +700,7 @@ mod tests {
             host.take_error(),
             Some(ClusterError::Protocol(msg)) if msg == "boom"
         ));
-        assert!(matches!(rx.recv(), Err(NetError::Disconnected)));
+        assert!(matches!(rx.try_recv(), Err(NetError::Disconnected)));
     }
 
     /// The relay role forwards upward traffic by value, routes envelopes

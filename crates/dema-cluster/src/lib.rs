@@ -50,7 +50,7 @@ pub use config::{
     ClusterConfig, EngineKind, GammaMode, MembershipChange, MembershipPlan, Topology, TransportKind,
 };
 pub use membership::EpochLedger;
-pub use report::{EpochStats, RunReport, TierTraffic, WindowOutcome};
+pub use report::{EpochStats, RunReport, TierTraffic, WindowOutcome, WireStats};
 pub use runner::run_cluster;
 
 /// Errors from a cluster run.

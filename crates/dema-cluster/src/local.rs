@@ -338,7 +338,7 @@ mod tests {
             &shared,
         );
         assert_eq!(steps, 2, "1 window + StreamEnd");
-        match rx.recv().unwrap() {
+        match rx.try_recv().unwrap().unwrap() {
             Message::SynopsisBatch {
                 node,
                 window,
@@ -352,7 +352,10 @@ mod tests {
             }
             other => panic!("expected synopses, got {other:?}"),
         }
-        assert!(matches!(rx.recv().unwrap(), Message::StreamEnd { .. }));
+        assert!(matches!(
+            rx.try_recv().unwrap().unwrap(),
+            Message::StreamEnd { .. }
+        ));
         assert!(shared.store.borrow().contains_key(&0));
         assert!(shared.sent.borrow().is_empty(), "seed runs cache nothing");
     }
@@ -368,7 +371,7 @@ mod tests {
             &mut tx,
             &shared,
         );
-        match rx.recv().unwrap() {
+        match rx.try_recv().unwrap().unwrap() {
             Message::EventBatch { sorted, events, .. } => {
                 assert!(sorted);
                 let vals: Vec<i64> = events.iter().map(|e| e.value).collect();
@@ -389,7 +392,7 @@ mod tests {
             &mut tx,
             &shared,
         );
-        match rx.recv().unwrap() {
+        match rx.try_recv().unwrap().unwrap() {
             Message::EventBatch { sorted, events, .. } => {
                 assert!(!sorted);
                 assert_eq!(events.len(), 3);
@@ -410,7 +413,7 @@ mod tests {
             &mut tx,
             &shared,
         );
-        match rx.recv().unwrap() {
+        match rx.try_recv().unwrap().unwrap() {
             Message::DigestBatch {
                 count, centroids, ..
             } => {
@@ -434,7 +437,7 @@ mod tests {
             &mut tx,
             &shared,
         );
-        match rx.recv().unwrap() {
+        match rx.try_recv().unwrap().unwrap() {
             Message::SketchBatch {
                 count,
                 min,
@@ -479,9 +482,9 @@ mod tests {
         );
         assert_eq!(status, ResponderStatus::Continue);
 
-        let _syn = data_rx.recv().unwrap();
-        let _end = data_rx.recv().unwrap();
-        match data_rx.recv().unwrap() {
+        let _syn = data_rx.try_recv().unwrap().unwrap();
+        let _end = data_rx.try_recv().unwrap().unwrap();
+        match data_rx.try_recv().unwrap().unwrap() {
             Message::CandidateReply {
                 node,
                 window,
@@ -522,9 +525,9 @@ mod tests {
             slices: vec![1],
         };
         responder_step(NodeId(1), request, &mut data_tx, &shared).unwrap();
-        let _syn = data_rx.recv().unwrap();
-        let _end = data_rx.recv().unwrap();
-        match data_rx.recv().unwrap() {
+        let _syn = data_rx.try_recv().unwrap().unwrap();
+        let _end = data_rx.try_recv().unwrap().unwrap();
+        match data_rx.try_recv().unwrap().unwrap() {
             Message::CandidateReply { slices, .. } => {
                 assert!(
                     SharedRun::ptr_eq(&slices[0].1, &stored_run),
@@ -570,7 +573,7 @@ mod tests {
             let status = responder_step(NodeId(3), nack, &mut up_tx, &shared).unwrap();
             assert_eq!(status, ResponderStatus::Continue);
             let cached = shared.sent.borrow()[&key].to_bytes();
-            assert_eq!(up_rx.recv().unwrap().to_bytes(), cached);
+            assert_eq!(up_rx.try_recv().unwrap().unwrap().to_bytes(), cached);
         }
     }
 
@@ -597,7 +600,7 @@ mod tests {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(4);
         run_stepper(NodeId(0), vec![vec![]], dema_engine(), &mut tx, &shared);
-        match rx.recv().unwrap() {
+        match rx.try_recv().unwrap().unwrap() {
             Message::SynopsisBatch { synopses, .. } => assert!(synopses.is_empty()),
             other => panic!("{other:?}"),
         }

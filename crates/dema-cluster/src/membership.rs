@@ -1,6 +1,6 @@
 //! Membership epochs: which locals contribute to which windows.
 //!
-//! A [`MembershipPlan`](crate::config::MembershipPlan) describes when nodes
+//! A [`MembershipPlan`] describes when nodes
 //! join or leave a run; the [`EpochLedger`] compiles it into a dense table
 //! of epochs, each covering a contiguous window range under one fixed
 //! member set. Epoch switches align to window boundaries: a change staged

@@ -207,14 +207,14 @@ mod tests {
             slices: vec![0],
         })
         .unwrap();
-        match rx.recv().unwrap() {
+        match rx.try_recv().unwrap().unwrap() {
             Message::Routed { dest, inner } => {
                 assert_eq!(dest, NodeId(3));
                 assert!(matches!(*inner, Message::GammaUpdate { gamma: 64 }));
             }
             other => panic!("{other:?}"),
         }
-        match rx.recv().unwrap() {
+        match rx.try_recv().unwrap().unwrap() {
             Message::Routed { dest, .. } => assert_eq!(dest, NodeId(7)),
             other => panic!("{other:?}"),
         }

@@ -125,6 +125,18 @@ impl TierTraffic {
     }
 }
 
+/// Frame-buffer pool counters of a run. Always zero: no pool exists, and
+/// each TCP connection frames into its own reused buffer. The struct is
+/// kept because the benchmark's `wire.pool_reuse_ratio` still reads it; it
+/// goes with that metric, which a benchmark-only change removes first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireStats {
+    /// Frame buffers handed out (always 0).
+    pub acquires: u64,
+    /// Of those, buffers recycled rather than allocated (always 0).
+    pub reuses: u64,
+}
+
 /// Aggregated results of a cluster run.
 #[derive(Debug)]
 pub struct RunReport {
@@ -164,10 +176,8 @@ pub struct RunReport {
     /// ([`dema_core::alloc`]). All-zero when the allocator is disarmed
     /// (release builds without the `strict` feature).
     pub alloc: dema_core::alloc::AllocSnapshot,
-    /// Wire buffer pool activity during the run: acquires, recycled
-    /// reuses, and fresh-allocation misses of the process-wide
-    /// [`dema_wire::pool::BufferPool`].
-    pub wire: dema_wire::pool::PoolStats,
+    /// Frame-buffer pool counters; always zero (see [`WireStats`]).
+    pub wire: WireStats,
 }
 
 impl RunReport {
@@ -248,7 +258,7 @@ mod tests {
             drained_nodes: Vec::new(),
             dead_nodes: Vec::new(),
             alloc: dema_core::alloc::AllocSnapshot::default(),
-            wire: dema_wire::pool::PoolStats::default(),
+            wire: WireStats::default(),
         }
     }
 

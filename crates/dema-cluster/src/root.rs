@@ -696,17 +696,14 @@ mod tests {
         })
         .unwrap();
         // Median rank 10 lies in node 0's second slice [5..10).
-        let req = ctl_rx.recv().unwrap();
+        let req = ctl_rx.try_recv().unwrap().unwrap();
         let Message::CandidateRequest { window, slices } = req else {
             panic!("expected request, got {req:?}");
         };
         assert_eq!(window, WindowId(0));
         assert_eq!(slices, vec![1]);
         assert!(
-            ctl_rx2
-                .recv_timeout(std::time::Duration::from_millis(20))
-                .unwrap()
-                .is_none(),
+            ctl_rx2.try_recv().unwrap().is_none(),
             "node 1 owns no candidates"
         );
         root.handle(Message::CandidateReply {
@@ -833,7 +830,7 @@ mod tests {
             synopses: slices.iter().map(|s| s.synopsis(2).unwrap()).collect(),
         })
         .unwrap();
-        let _ = ctl_rx.recv().unwrap();
+        let _ = ctl_rx.try_recv().unwrap().unwrap();
         // Tamper: send the wrong events for the requested slice.
         let err = root
             .handle(Message::CandidateReply {
@@ -928,10 +925,11 @@ mod tests {
         // Slots are full: nothing finalized yet, windows 2 and 3 queued.
         assert_eq!(root.completed_windows(), 0);
 
-        let next_request = |rx: &mut dema_net::mem::MemReceiver| match rx.recv().unwrap() {
-            Message::CandidateRequest { window, slices } => (window.0, slices),
-            other => panic!("expected request, got {other:?}"),
-        };
+        let next_request =
+            |rx: &mut dema_net::mem::MemReceiver| match rx.try_recv().unwrap().unwrap() {
+                Message::CandidateRequest { window, slices } => (window.0, slices),
+                other => panic!("expected request, got {other:?}"),
+            };
         let reply =
             |root: &mut RootNode, windows: &HashMap<u64, Vec<Slice>>, w: u64, req: &[u32]| {
                 let slices = req
@@ -951,10 +949,7 @@ mod tests {
         let (w1, req1) = next_request(&mut ctl_rx);
         assert_eq!((w0, w1), (0, 1));
         assert!(
-            ctl_rx
-                .recv_timeout(std::time::Duration::from_millis(20))
-                .unwrap()
-                .is_none(),
+            ctl_rx.try_recv().unwrap().is_none(),
             "window 3 must wait for a free slot"
         );
         // Resolving window 0 admits window 2 — empty, finalized on the spot
@@ -1004,7 +999,8 @@ mod tests {
                 .collect(),
         })
         .unwrap();
-        let Message::CandidateRequest { slices: req, .. } = ctl_rx.recv().unwrap() else {
+        let Message::CandidateRequest { slices: req, .. } = ctl_rx.try_recv().unwrap().unwrap()
+        else {
             panic!()
         };
         let reply: Vec<(u32, SharedRun)> = req
@@ -1018,7 +1014,7 @@ mod tests {
         })
         .unwrap();
         // γ* = sqrt(2*1000/1) ≈ 45 ≠ 4 → update broadcast.
-        match ctl_rx.recv().unwrap() {
+        match ctl_rx.try_recv().unwrap().unwrap() {
             Message::GammaUpdate { gamma } => {
                 assert_eq!(gamma, dema_core::gamma::optimal_gamma(1000, 1))
             }
@@ -1161,7 +1157,10 @@ mod tests {
             "ascending, not arrival order"
         );
         for rx in &mut ctl_rx[1..] {
-            assert!(matches!(rx.recv().unwrap(), Message::DrainComplete { .. }));
+            assert!(matches!(
+                rx.try_recv().unwrap().unwrap(),
+                Message::DrainComplete { .. }
+            ));
         }
         root.handle(stream_end(2, 0)).unwrap();
         root.handle(stream_end(1, 0)).unwrap();

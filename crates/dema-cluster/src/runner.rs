@@ -25,7 +25,7 @@ use dema_core::sync::{rank, Mutex};
 use dema_metrics::{FaultCounters, NetworkCounters, NetworkSnapshot, ReactorStats};
 use dema_net::fault::FaultPlan;
 use dema_net::mem::{link, throttled_link, Throttle};
-use dema_net::reactor::{spawn_shard, Handler, Reactor, RecvSource};
+use dema_net::reactor::{spawn_shard, Handler, Reactor};
 use dema_net::tcp::{accept, listen, TcpSender};
 use dema_net::{MsgReceiver, MsgSender, NetError, SharedCounters};
 
@@ -35,7 +35,7 @@ use crate::host::{LocalRole, ResponderRole, RoleHost, RootRole, Stepper};
 use crate::local::{stream_windows, CloseTimes, LocalShared, LocalStepper};
 use crate::membership::EpochLedger;
 use crate::relay::{RelayChild, RelayChildRoute, RelayRole, RoutedSender};
-use crate::report::{RunReport, TierTraffic};
+use crate::report::{RunReport, TierTraffic, WireStats};
 use crate::root::RootNode;
 use crate::ClusterError;
 
@@ -222,6 +222,17 @@ fn validate_topology(topology: Topology) -> Result<(), ClusterError> {
     Ok(())
 }
 
+/// Reject a link capacity the throttle cannot model: a zero-bandwidth link
+/// never finishes transmitting a frame.
+fn validate_transport(transport: TransportKind) -> Result<(), ClusterError> {
+    if let TransportKind::Throttled { mbits_per_sec: 0 } = transport {
+        return Err(ClusterError::Protocol(
+            "throttled transport needs a positive bandwidth, got 0 Mbit/s".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Reject membership plans the runtime cannot honor, and build the epoch
 /// ledger for a staged plan (`None` for fixed membership). Churn is a
 /// Dema-engine, star-topology feature: the drain handshake needs the
@@ -267,6 +278,7 @@ fn run_cluster_inner(
 
     engines::validate(config.engine)?;
     validate_topology(config.topology)?;
+    validate_transport(config.transport)?;
     let ledger = validate_membership(config, windows, n_locals)?;
     // A churn plan restricts each node's contribution to its membership
     // span: input rows outside `[join, leave)` are dropped here, so callers
@@ -469,7 +481,6 @@ fn run_cluster_inner(
 
     let started = Instant::now();
     let alloc_before = dema_core::alloc::snapshot();
-    let wire_before = dema_wire::pool::BufferPool::global().stats();
     let reactor_stats = ReactorStats::new_shared();
 
     // Shard the node roles over `threads` reactors: each shard hosts its
@@ -556,7 +567,7 @@ fn run_cluster_inner(
     let mut root_reactor = Reactor::new(Arc::clone(&reactor_stats));
     let mut root_host = RoleHost::new(RootRole::new(root), Vec::new());
     for (i, rx) in root_rx.into_iter().enumerate() {
-        root_reactor.register(0, i, Box::new(RecvSource(rx)));
+        root_reactor.register(0, i, rx);
     }
     {
         let mut handlers: Vec<&mut dyn Handler<ClusterError>> = vec![&mut root_host];
@@ -643,9 +654,7 @@ fn run_cluster_inner(
         drained_nodes,
         dead_nodes,
         alloc: dema_core::alloc::snapshot().since(&alloc_before),
-        wire: dema_wire::pool::BufferPool::global()
-            .stats()
-            .since(&wire_before),
+        wire: WireStats::default(),
     })
 }
 
@@ -729,7 +738,7 @@ fn run_shard(
             vec![spec.up],
         ));
         if let Some((ctl_rx, resp_up)) = spec.responder {
-            reactor.register(hosts.len(), 0, Box::new(RecvSource(ctl_rx)));
+            reactor.register(hosts.len(), 0, ctl_rx);
             hosts.push(RoleHost::new(
                 Box::new(ResponderRole::new(node, shared)) as Box<dyn Stepper + '_>,
                 vec![resp_up],
@@ -750,11 +759,11 @@ fn run_shard(
             senders.push(child.sender);
         }
         for (i, rx) in spec.ups.into_iter().enumerate() {
-            reactor.register(handler, i, Box::new(RecvSource(rx)));
+            reactor.register(handler, i, rx);
         }
         let has_down = spec.parent_down.is_some();
         if let Some(down) = spec.parent_down {
-            reactor.register(handler, n_ups, Box::new(RecvSource(down)));
+            reactor.register(handler, n_ups, down);
         }
         hosts.push(RoleHost::new(
             Box::new(RelayRole::new(n_ups, routes, has_down)) as Box<dyn Stepper + '_>,

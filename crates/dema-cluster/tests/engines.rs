@@ -2,6 +2,7 @@
 
 use dema_cluster::config::{ClusterConfig, EngineKind, GammaMode, TransportKind};
 use dema_cluster::runner::{data_traffic, run_cluster};
+use dema_cluster::ClusterError;
 use dema_core::coordinator::quantile_ground_truth;
 use dema_core::event::Event;
 use dema_core::quantile::Quantile;
@@ -274,6 +275,29 @@ fn tcp_and_throttled_transports_cover_dema_and_centralized() {
             );
             assert!(data_traffic(&report).bytes > 0);
         }
+    }
+}
+
+#[test]
+fn zero_bandwidth_throttle_is_rejected() {
+    // A zero-capacity link never finishes a frame: the runner refuses the
+    // config with an error before it wires a single link.
+    let inputs = soccer_inputs(2, 1, 100, &[1, 1]);
+    for engine in [
+        EngineKind::Dema {
+            gamma: GammaMode::Fixed(100),
+            strategy: SelectionStrategy::WindowCut,
+        },
+        EngineKind::Centralized,
+    ] {
+        let mut cfg = ClusterConfig::baseline(engine, Quantile::MEDIAN);
+        cfg.transport = TransportKind::Throttled { mbits_per_sec: 0 };
+        let err = run_cluster(&cfg, inputs.clone()).unwrap_err();
+        assert!(
+            matches!(&err, ClusterError::Protocol(msg) if msg.contains("bandwidth")),
+            "engine {}: {err}",
+            engine.label()
+        );
     }
 }
 

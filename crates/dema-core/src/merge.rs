@@ -185,7 +185,7 @@ pub fn merge_runs<R: AsRef<[Event]>>(runs: &[R]) -> Vec<Event> {
 /// without materializing the merge.
 ///
 /// Like [`merge_runs`], generic over the run container. Which of the two
-/// routes runs (see the module docs) is decided by [`selection_is_cheaper`]
+/// routes runs (see the module docs) is decided by `selection_is_cheaper`
 /// from `k`, the total length and the run count alone.
 ///
 /// # Errors

@@ -25,7 +25,7 @@
 //! * [`SelectionStrategy::WindowCut`] — the rank-bound form above; the
 //!   tightest set. This is the default and the paper's window-cut
 //!   algorithm in its exact formulation. It never materialises an interval
-//!   per slice: two values cut the window ([`Cut`]), found in `O(S)`.
+//!   per slice: two values cut the window (`Cut`), found in `O(S)`.
 //! * [`SelectionStrategy::ClassifiedScan`] — a faithful rendering of the
 //!   paper's Algorithm 1: classify slices (separate / compound / cover),
 //!   locate the overlap group holding `k`, then scan from the group's left

@@ -27,6 +27,8 @@
 //! exactly as the pre-wrapper code did: a panicking holder already
 //! fails the run through other channels, and the protocol state these
 //! locks protect is re-validated by the invariant layer downstream.
+//!
+//! [`DemaError::LockOrderViolation`]: crate::error::DemaError::LockOrderViolation
 
 use crate::error::Result;
 use std::fmt;
@@ -72,10 +74,9 @@ impl fmt::Display for Rank {
 /// Orders are spaced by 2 so a future lock can slot between neighbours
 /// without renumbering. The only *required* orderings — nestings that
 /// actually occur at runtime — are `ROUTED_DOWNLINK` before
-/// `NET_THROTTLE` / `NET_STEP_QUEUE` / `WIRE_BUF_POOL`: a
-/// `RoutedSender` holds its downlink lock across the wrapped
-/// transport's `send`, which may take the throttle gate, the in-memory
-/// step queue, or the wire buffer pool. Every other lock is a leaf
+/// `NET_THROTTLE` / `NET_STEP_QUEUE`: a `RoutedSender` holds its
+/// downlink lock across the wrapped transport's `send`, which may take
+/// the throttle gate or the in-memory step queue. Every other lock is a leaf
 /// (its guard is always dropped before any other lock is touched).
 pub mod rank {
     use super::Rank;
@@ -87,8 +88,6 @@ pub mod rank {
     pub const NET_THROTTLE: Rank = Rank::new(30, "net.throttle");
     /// Single-stepped in-memory link queue (`dema-net::step`).
     pub const NET_STEP_QUEUE: Rank = Rank::new(32, "net.step_queue");
-    /// Wire buffer pool spares (`dema-wire::pool`).
-    pub const WIRE_BUF_POOL: Rank = Rank::new(40, "wire.buf_pool");
     /// Root-side window close-time map (`dema-cluster::local`).
     pub const CLOSE_TIMES: Rank = Rank::new(54, "cluster.close_times");
 }
@@ -202,6 +201,8 @@ impl<T> Mutex<T> {
     /// Acquire the lock, returning [`DemaError::LockOrderViolation`]
     /// instead of panicking when the tracker rejects the acquisition
     /// (always `Ok` in unchecked release builds).
+    ///
+    /// [`DemaError::LockOrderViolation`]: crate::error::DemaError::LockOrderViolation
     pub fn lock_checked(&self) -> Result<MutexGuard<'_, T>> {
         let token = tracker::acquire(self.rank)?;
         Ok(MutexGuard {
@@ -360,7 +361,6 @@ mod tests {
         assert_eq!(rank::ROUTED_DOWNLINK.label(), "relay.downlink");
         assert!(rank::ROUTED_DOWNLINK.order() < rank::NET_THROTTLE.order());
         assert!(rank::ROUTED_DOWNLINK.order() < rank::NET_STEP_QUEUE.order());
-        assert!(rank::ROUTED_DOWNLINK.order() < rank::WIRE_BUF_POOL.order());
         assert_eq!(
             format!("{}", rank::CLOSE_TIMES),
             "cluster.close_times(rank 54)"

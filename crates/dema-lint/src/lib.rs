@@ -83,10 +83,11 @@
 //!   window, which the per-leaf-window allocation gate counts
 //!   (`dema-cluster/tests/alloc_gate.rs`). `SharedRun` clones are refcount
 //!   bumps and exempt; deleting a mandated marker is itself a finding.
-//! * **R16** *(alloc mode)* — frame encode/decode files draw scratch from
-//!   `dema_wire::pool::BufferPool`: ad-hoc `vec![..]` payload buffers,
-//!   pool-bypassing `.to_bytes(..)` helpers, and min-clamped capacities
-//!   in the framing files allocate per frame.
+//! * **R16** *(alloc mode)* — frame encode/decode files append into the
+//!   connection's reused buffer (`dema_wire::frame::encode_frame_into`):
+//!   ad-hoc `vec![..]` payload buffers, buffer-bypassing `.to_bytes(..)`
+//!   helpers, and min-clamped capacities in the framing files allocate per
+//!   frame.
 //! * **R17** *(alloc mode)* — channel/send paths in `dema-cluster` /
 //!   `dema-net` must not copy `SharedRun` payload bytes: `.to_vec()` on a
 //!   declared SharedRun name re-copies the window payload per hop; ship
@@ -1386,9 +1387,9 @@ pub const HOT_PATH_REGIONS: [(&str, &str); 8] = [
     ("dema-cluster/src/engines/retry.rs", "supervisor-tick"),
 ];
 
-/// Files whose frame encode/decode must draw buffers from
-/// `dema-wire::pool` (R16): ad-hoc `vec![..]` payload buffers or
-/// pool-bypassing `.to_bytes(..)` helpers there allocate per frame.
+/// Files whose frame encode/decode must append into the connection's
+/// reused buffer (R16): ad-hoc `vec![..]` payload buffers or
+/// buffer-bypassing `.to_bytes(..)` helpers there allocate per frame.
 pub const R16_FILES: [&str; 3] = [
     "dema-wire/src/frame.rs",
     "dema-net/src/tcp.rs",
@@ -1660,8 +1661,8 @@ fn check_r15(
     }
 }
 
-/// R16: frame encode/decode files draw buffers from `dema-wire::pool`.
-/// Needles are ad-hoc `vec![..]` payload buffers, pool-bypassing
+/// R16: frame encode/decode files append into the connection's reused
+/// buffer. Needles are ad-hoc `vec![..]` payload buffers, buffer-bypassing
 /// `.to_bytes(..)` helpers, and the min-clamped `with_capacity` caps.
 fn check_r16(file: &SourceFile, violations: &mut Vec<Violation>) {
     if file.test_by_path || !R16_FILES.iter().any(|f| file.rel.ends_with(f)) {
@@ -1672,14 +1673,15 @@ fn check_r16(file: &SourceFile, violations: &mut Vec<Violation>) {
         (
             "vec![",
             "vec!",
-            "builds a per-frame buffer with `vec![..]` instead of \
-             `pool.acquire()` — every frame pays an allocator round-trip",
+            "builds a per-frame buffer with `vec![..]` instead of appending \
+             into the connection's reused buffer — every frame pays an \
+             allocator round-trip",
         ),
         (
             ".to_bytes(",
             "to_bytes",
-            "serializes through a pool-bypassing `.to_bytes(..)` helper; \
-             encode into a pooled buffer with `write_frame_pooled` / \
+            "serializes through a buffer-bypassing `.to_bytes(..)` helper; \
+             append into the connection's reused buffer with \
              `encode_frame_into` instead",
         ),
     ] {
@@ -1715,7 +1717,8 @@ fn check_r16(file: &SourceFile, violations: &mut Vec<Violation>) {
                 at,
                 "with_capacity(..min..)",
                 "frame i/o clamps a buffer capacity with `.min(..)` — validate \
-                 the length prefix and size exactly, or draw from the pool",
+                 the length prefix and size exactly, or append into the \
+                 connection's reused buffer",
                 violations,
             );
         }
@@ -2246,11 +2249,12 @@ pub const RULES: [RuleInfo; 17] = [
     },
     RuleInfo {
         id: "R16",
-        title: "(--alloc) frame encode/decode draws buffers from dema-wire::pool",
-        rationale: "an ad-hoc vec![..] payload buffer, a pool-bypassing .to_bytes(..) \
+        title: "(--alloc) frame encode/decode appends into the connection's reused buffer",
+        rationale: "an ad-hoc vec![..] payload buffer, a buffer-bypassing .to_bytes(..) \
                     helper, or a min-clamped capacity in the framing files allocates \
-                    (and likely reallocates) on every frame; acquire scratch from the \
-                    BufferPool so steady-state i/o recycles one buffer",
+                    (and likely reallocates) on every frame; append into the \
+                    connection's reused buffer (encode_frame_into) so steady-state \
+                    i/o recycles one buffer",
         allow: "// lint: allow(R16): <reason>",
     },
     RuleInfo {

@@ -16,7 +16,10 @@
 //! * [`tcp`] — real TCP over `std::net` with length-prefixed frames, for
 //!   multi-process runs. Byte accounting matches `mem` exactly.
 //!
-//! Links are unidirectional; a topology wires two per node pair.
+//! Links are unidirectional; a topology wires two per node pair. Every
+//! receiver is nonblocking: [`MsgReceiver::try_recv`] is its one method,
+//! and the [`reactor`] sweeps it. A TCP link is connected blocking and
+//! switched to nonblocking before it carries its first frame.
 //!
 //! The [`fault`] module wraps either transport's sender in a seeded
 //! chaos layer (drops, delay, duplication, reordering, scripted
@@ -33,7 +36,6 @@ pub use mem::link;
 use dema_metrics::NetworkCounters;
 use dema_wire::Message;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Errors surfaced by transports.
 #[derive(Debug)]
@@ -64,10 +66,10 @@ pub trait MsgSender: Send {
     fn send(&mut self, msg: &Message) -> Result<(), NetError>;
 
     /// Retry any bytes a nonblocking sender buffered on `WouldBlock`.
-    /// `Ok(true)` means nothing is pending (always, for blocking
-    /// transports — the default); `Ok(false)` means the peer's socket is
-    /// still full and the caller should retry when it becomes writable
-    /// (the reactor's `Writable` event).
+    /// `Ok(true)` means nothing is pending (always, for the in-memory
+    /// links — the default); `Ok(false)` means the peer's socket is still
+    /// full and the caller should retry when it becomes writable (the
+    /// reactor's `Writable` event).
     fn flush_pending(&mut self) -> Result<bool, NetError> {
         Ok(true)
     }
@@ -75,18 +77,10 @@ pub trait MsgSender: Send {
 
 /// Receiving half of a link.
 pub trait MsgReceiver: Send {
-    /// Block until a message arrives (or the peer disconnects).
-    fn recv(&mut self) -> Result<Message, NetError>;
-
-    /// Wait up to `timeout`; `Ok(None)` on timeout.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError>;
-
-    /// Non-blocking poll; `Ok(None)` when no message is ready. The default
-    /// falls back to a short timed wait for transports without a cheap
-    /// non-blocking path (TCP).
-    fn try_recv(&mut self) -> Result<Option<Message>, NetError> {
-        self.recv_timeout(Duration::from_micros(500))
-    }
+    /// Poll once without blocking: `Ok(None)` when no message is ready,
+    /// [`NetError::Disconnected`] once the peer is gone and every message
+    /// it sent has been taken.
+    fn try_recv(&mut self) -> Result<Option<Message>, NetError>;
 }
 
 /// Per-link byte/message/event accounting shared with the harness.

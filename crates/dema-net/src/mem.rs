@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use dema_core::sync::{rank, Mutex};
 use dema_wire::Message;
 
@@ -35,6 +35,9 @@ pub struct Throttle {
 
 impl Throttle {
     /// A throttle for a link of `mbits_per_sec` megabits per second.
+    ///
+    /// # Panics
+    /// If `mbits_per_sec` is 0: such a link never finishes a frame.
     pub fn new_shared(mbits_per_sec: u64) -> Arc<Throttle> {
         assert!(mbits_per_sec > 0, "bandwidth must be positive");
         Arc::new(Throttle {
@@ -134,18 +137,6 @@ impl MemSender {
 }
 
 impl MsgReceiver for MemReceiver {
-    fn recv(&mut self) -> Result<Message, NetError> {
-        self.rx.recv().map_err(|_| NetError::Disconnected)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(Some(m)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
-        }
-    }
-
     fn try_recv(&mut self) -> Result<Option<Message>, NetError> {
         match self.rx.try_recv() {
             Ok(m) => Ok(Some(m)),
@@ -160,6 +151,16 @@ mod tests {
     use super::*;
     use dema_core::event::{Event, NodeId, WindowId};
     use dema_metrics::NetworkCounters;
+
+    /// Poll until a message arrives (the sender may be on another thread).
+    fn next(rx: &mut MemReceiver) -> Message {
+        loop {
+            if let Some(m) = rx.try_recv().unwrap() {
+                return m;
+            }
+            std::thread::yield_now();
+        }
+    }
 
     fn msg(n: u64) -> Message {
         Message::EventBatch {
@@ -177,7 +178,7 @@ mod tests {
             tx.send(&Message::GammaUpdate { gamma: i }).unwrap();
         }
         for i in 0..10 {
-            assert_eq!(rx.recv().unwrap(), Message::GammaUpdate { gamma: i });
+            assert_eq!(next(&mut rx), Message::GammaUpdate { gamma: i });
         }
     }
 
@@ -194,17 +195,16 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_times_out() {
+    fn empty_link_polls_none() {
         let (_tx, mut rx) = link(NetworkCounters::new_shared());
-        let got = rx.recv_timeout(Duration::from_millis(10)).unwrap();
-        assert!(got.is_none());
+        assert!(rx.try_recv().unwrap().is_none());
     }
 
     #[test]
     fn dropped_sender_disconnects_receiver() {
         let (tx, mut rx) = link(NetworkCounters::new_shared());
         drop(tx);
-        assert!(matches!(rx.recv(), Err(NetError::Disconnected)));
+        assert!(matches!(rx.try_recv(), Err(NetError::Disconnected)));
     }
 
     #[test]
@@ -225,8 +225,8 @@ mod tests {
         tx.send(&Message::GammaUpdate { gamma: 1 }).unwrap();
         tx2.send(&Message::GammaUpdate { gamma: 2 }).unwrap();
         assert_eq!(counters.snapshot().messages, 2);
-        assert!(rx.recv().is_ok());
-        assert!(rx.recv().is_ok());
+        next(&mut rx);
+        next(&mut rx);
     }
 
     #[test]
@@ -238,7 +238,7 @@ mod tests {
             }
         });
         for i in 0..1000 {
-            assert_eq!(rx.recv().unwrap(), Message::GammaUpdate { gamma: i });
+            assert_eq!(next(&mut rx), Message::GammaUpdate { gamma: i });
         }
         h.join().unwrap();
     }
@@ -258,7 +258,7 @@ mod tests {
             "sent too fast: {elapsed:?}"
         );
         for _ in 0..3 {
-            assert!(rx.recv().is_ok());
+            next(&mut rx);
         }
     }
 

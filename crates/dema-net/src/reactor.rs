@@ -2,9 +2,9 @@
 //! machines (DESIGN.md §13).
 //!
 //! The vendored dependency set has no `epoll`/`kqueue` shim, so readiness
-//! is *level-triggered polling*: every registered [`Source`] (an
-//! in-process channel, a scheduler-visible step queue, or a nonblocking
-//! TCP parser) exposes a cheap non-blocking poll, and the loop sweeps
+//! is *level-triggered polling*: every registered link is a
+//! [`MsgReceiver`] (an in-process channel or a nonblocking TCP parser)
+//! whose `try_recv` is a cheap non-blocking poll, and the loop sweeps
 //! them round-robin, draining each before moving on. Between sweeps the
 //! loop backs off exactly like the threaded runner's drive loop did
 //! (yield briefly, then sleep a few µs, bounded by the next timer
@@ -31,65 +31,7 @@ use std::time::{Duration, Instant};
 use dema_metrics::ReactorStats;
 use dema_wire::Message;
 
-use crate::step::StepQueue;
-use crate::tcp::NbTcpReceiver;
 use crate::{MsgReceiver, NetError};
-
-/// What a [`Source`] poll produced.
-#[derive(Debug)]
-pub enum Polled {
-    /// One message, ready now.
-    Msg(Message),
-    /// Nothing available; poll again later.
-    Empty,
-    /// The peer is gone; the source will never produce again.
-    Closed,
-}
-
-/// A non-blocking message producer the reactor can sweep.
-pub trait Source {
-    /// Poll once without blocking.
-    ///
-    /// # Errors
-    /// Transport failures other than orderly shutdown (which is
-    /// [`Polled::Closed`]).
-    fn poll(&mut self) -> Result<Polled, NetError>;
-}
-
-/// Adapter: any [`MsgReceiver`] whose `try_recv` is genuinely
-/// non-blocking (the mem and throttled links) is a reactor source.
-/// Blocking-backed receivers (TCP) should convert to [`NbTcpReceiver`]
-/// instead — their `try_recv` burns a timed wait per poll.
-pub struct RecvSource(pub Box<dyn MsgReceiver>);
-
-impl Source for RecvSource {
-    fn poll(&mut self) -> Result<Polled, NetError> {
-        match self.0.try_recv() {
-            Ok(Some(msg)) => Ok(Polled::Msg(msg)),
-            Ok(None) => Ok(Polled::Empty),
-            Err(NetError::Disconnected) => Ok(Polled::Closed),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-impl Source for StepQueue {
-    /// A step queue never disconnects — exhaustion is just [`Polled::Empty`].
-    fn poll(&mut self) -> Result<Polled, NetError> {
-        Ok(self.pop().map_or(Polled::Empty, Polled::Msg))
-    }
-}
-
-impl Source for NbTcpReceiver {
-    fn poll(&mut self) -> Result<Polled, NetError> {
-        match self.poll_msg() {
-            Ok(Some(msg)) => Ok(Polled::Msg(msg)),
-            Ok(None) => Ok(Polled::Empty),
-            Err(NetError::Disconnected) => Ok(Polled::Closed),
-            Err(e) => Err(e),
-        }
-    }
-}
 
 /// An event delivered to a registered handler.
 #[derive(Debug)]
@@ -188,7 +130,7 @@ pub trait Handler<E> {
 struct SourceEntry {
     handler: usize,
     link: usize,
-    src: Box<dyn Source>,
+    rx: Box<dyn MsgReceiver>,
     open: bool,
 }
 
@@ -226,13 +168,16 @@ impl Reactor {
         }
     }
 
-    /// Register `src` as handler `handler`'s link `link`. Sources are
-    /// swept in registration order.
-    pub fn register(&mut self, handler: usize, link: usize, src: Box<dyn Source>) {
+    /// Register `rx` as handler `handler`'s link `link`. Links are swept
+    /// in registration order. A poll's `Some` is delivered as
+    /// [`ReactorEvent::Readable`], [`NetError::Disconnected`] as
+    /// [`ReactorEvent::Closed`], and any other error goes to
+    /// [`Handler::on_io_error`]; either way the link is not polled again.
+    pub fn register(&mut self, handler: usize, link: usize, rx: Box<dyn MsgReceiver>) {
         self.sources.push(SourceEntry {
             handler,
             link,
-            src,
+            rx,
             open: true,
         });
     }
@@ -323,14 +268,14 @@ impl Reactor {
             for i in 0..self.sources.len() {
                 while self.sources[i].open {
                     let (handler, link) = (self.sources[i].handler, self.sources[i].link);
-                    match self.sources[i].src.poll() {
-                        Ok(Polled::Msg(msg)) => {
+                    match self.sources[i].rx.try_recv() {
+                        Ok(Some(msg)) => {
                             events += 1;
                             handlers[handler]
                                 .on_event(ReactorEvent::Readable { link, msg }, &mut ops)?;
                         }
-                        Ok(Polled::Empty) => break,
-                        Ok(Polled::Closed) => {
+                        Ok(None) => break,
+                        Err(NetError::Disconnected) => {
                             self.sources[i].open = false;
                             events += 1;
                             handlers[handler].on_event(ReactorEvent::Closed { link }, &mut ops)?;
@@ -413,10 +358,12 @@ mod tests {
     use crate::MsgSender;
     use dema_metrics::NetworkCounters;
 
-    /// Collects everything it sees; done after `quota` events.
+    /// Collects everything it sees; done after `quota` events, or, with
+    /// `until_link_ends`, once a link has closed or failed.
     struct Probe {
         seen: Vec<String>,
         quota: usize,
+        until_link_ends: bool,
     }
 
     impl Handler<NetError> for Probe {
@@ -445,6 +392,7 @@ mod tests {
 
         fn done(&self) -> bool {
             self.seen.len() >= self.quota
+                || (self.until_link_ends && self.seen.iter().any(|s| s.starts_with(['c', 'e'])))
         }
     }
 
@@ -455,10 +403,11 @@ mod tests {
         tx.send(&Message::GammaUpdate { gamma: 2 }).unwrap();
         drop(tx);
         let mut reactor = Reactor::new(ReactorStats::new_shared());
-        reactor.register(0, 7, Box::new(RecvSource(Box::new(rx))));
+        reactor.register(0, 7, Box::new(rx));
         let mut probe = Probe {
             seen: Vec::new(),
             quota: 4,
+            until_link_ends: false,
         };
         reactor.run::<NetError>(&mut [&mut probe]).unwrap();
         // Both messages (the source is drained in one sweep), the close,
@@ -476,6 +425,7 @@ mod tests {
         let mut probe = Probe {
             seen: Vec::new(),
             quota: 4,
+            until_link_ends: false,
         };
         let now = Instant::now();
         reactor.push_timer(0, now + Duration::from_millis(12), 2);
@@ -494,21 +444,53 @@ mod tests {
         let mut probe = Probe {
             seen: Vec::new(),
             quota: 2,
+            until_link_ends: false,
         };
         reactor.run::<NetError>(&mut [&mut probe]).unwrap();
         assert_eq!(probe.seen, vec!["wake", "wake"]);
     }
 
+    /// Run a reactor over a TCP link whose peer wrote `bytes` and closed,
+    /// until the link ends; returns what the handler saw.
+    fn hostile_peer(bytes: &[u8]) -> Vec<String> {
+        use std::io::Write;
+        let listener = crate::tcp::listen("127.0.0.1:0".parse().unwrap()).unwrap();
+        let mut peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let rx = crate::tcp::accept(&listener).unwrap();
+        peer.write_all(bytes).unwrap();
+        drop(peer);
+        let mut reactor = Reactor::new(ReactorStats::new_shared());
+        reactor.register(0, 3, Box::new(rx.into_nonblocking().unwrap()));
+        let mut probe = Probe {
+            seen: Vec::new(),
+            quota: usize::MAX,
+            until_link_ends: true,
+        };
+        reactor.run::<NetError>(&mut [&mut probe]).unwrap();
+        probe.seen.retain(|s| s != "wake");
+        probe.seen
+    }
+
     #[test]
-    fn step_queue_is_a_source_without_disconnect() {
-        let (tx, q) = crate::step::step_link(NetworkCounters::new_shared());
-        let mut tx = tx;
-        tx.send(&Message::GammaUpdate { gamma: 9 }).unwrap();
-        let mut q = q;
-        assert!(matches!(q.poll(), Ok(Polled::Msg(_))));
-        assert!(matches!(q.poll(), Ok(Polled::Empty)));
-        drop(tx);
-        // Still just Empty: step links have no disconnect signal.
-        assert!(matches!(q.poll(), Ok(Polled::Empty)));
+    fn tcp_faults_reach_the_handler_as_errors() {
+        let oversize = (dema_wire::frame::MAX_FRAME + 1).to_le_bytes();
+        assert_eq!(
+            hostile_peer(&oversize),
+            vec!["e3:corrupt frame: implausible length field 1073741825"]
+        );
+
+        let mut bad_tag = 1u32.to_le_bytes().to_vec();
+        bad_tag.push(0xFF);
+        assert_eq!(
+            hostile_peer(&bad_tag),
+            vec!["e3:corrupt frame: unknown message tag 0xff"]
+        );
+
+        let mut frame = Vec::new();
+        dema_wire::frame::encode_frame_into(&Message::GammaUpdate { gamma: 7 }, &mut frame);
+        assert_eq!(
+            hostile_peer(&frame[..frame.len() / 2]),
+            vec!["e3:corrupt frame: stream ended mid-frame"]
+        );
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! The model-checking explorer in `dema-model` needs to *choose* when each
 //! in-flight message is delivered, so the channel-backed [`crate::mem`]
-//! links (whose receivers block and whose delivery order is fixed FIFO per
-//! link at `recv` time) don't fit. A step link instead exposes its queue:
+//! links (drained by whoever polls them, in FIFO order) don't fit. A step link instead exposes its queue:
 //! the sending side is an ordinary [`MsgSender`] with exactly the same
 //! wire accounting as [`crate::mem::link`], while the receiving side is a
 //! [`StepQueue`] handle the scheduler pops explicitly — one pop per

@@ -6,17 +6,19 @@
 //! request/response-ish per window, so Nagle would serialize the
 //! identification/calculation round trips.
 //!
-//! Each frame is assembled (prefix + payload) in a buffer recycled through
-//! `dema-wire`'s [`dema_wire::BufferPool`] and reaches the stream as one
-//! contiguous write: small frames coalesce in the `BufWriter` and flush as
-//! a single syscall; frames larger than its buffer bypass it and are still
-//! one `write` each, never one per frame segment.
+//! A link is set up blocking ([`TcpSender::connect_timeout`], [`accept`])
+//! and switched to nonblocking with `into_nonblocking` before it carries a
+//! frame; only the nonblocking halves send or receive. [`NbTcpSender`]
+//! appends each frame to the connection's reused outbound buffer
+//! ([`encode_frame_into`]) and writes as much as the socket takes;
+//! [`NbTcpReceiver`] parses frames off its inbound buffer
+//! ([`decode_frame`]).
 
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use dema_wire::frame::{encode_frame_into, read_frame, write_frame, FrameError, MAX_FRAME};
+use dema_wire::frame::{decode_frame, encode_frame_into};
 use dema_wire::Message;
 
 use crate::{MsgReceiver, MsgSender, NetError, SharedCounters};
@@ -33,33 +35,18 @@ fn is_disconnect(kind: ErrorKind) -> bool {
     )
 }
 
-/// Sending half over TCP.
+/// The sending end of a connected link, not yet nonblocking.
 pub struct TcpSender {
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
     counters: SharedCounters,
 }
 
-/// Receiving half over TCP.
+/// The receiving end of an accepted link, not yet nonblocking.
 pub struct TcpReceiver {
-    reader: BufReader<TcpStream>,
-    /// Last read-timeout successfully applied to the socket, or `None` when
-    /// the state is unknown (initially, and after a failed
-    /// `set_read_timeout` round-trip — an error mid-change must not leave
-    /// us believing the old mode is still in force).
-    applied_timeout: Option<Option<Duration>>,
+    stream: TcpStream,
 }
 
 impl TcpSender {
-    /// Connect to a listening peer.
-    pub fn connect(addr: SocketAddr, counters: SharedCounters) -> Result<TcpSender, NetError> {
-        let stream = TcpStream::connect(addr).map_err(NetError::Io)?;
-        stream.set_nodelay(true).map_err(NetError::Io)?;
-        Ok(TcpSender {
-            writer: BufWriter::new(stream),
-            counters,
-        })
-    }
-
     /// Connect to a listening peer, failing after `timeout` instead of
     /// hanging on an unresponsive address. The resulting I/O error (timed
     /// out, refused, unreachable…) is surfaced as [`NetError::Io`].
@@ -70,24 +57,14 @@ impl TcpSender {
     ) -> Result<TcpSender, NetError> {
         let stream = TcpStream::connect_timeout(&addr, timeout).map_err(NetError::Io)?;
         stream.set_nodelay(true).map_err(NetError::Io)?;
-        Ok(TcpSender {
-            writer: BufWriter::new(stream),
-            counters,
-        })
+        Ok(TcpSender { stream, counters })
     }
 
-    /// Convert into the reactor-friendly nonblocking sender. Flushes any
-    /// bytes still sitting in the blocking `BufWriter` first, so no frame
-    /// segment is lost in the handoff.
-    pub fn into_nonblocking(mut self) -> Result<NbTcpSender, NetError> {
-        self.writer.flush().map_err(NetError::Io)?;
-        let stream = self
-            .writer
-            .into_inner()
-            .map_err(|e| NetError::Io(e.into_error()))?;
-        stream.set_nonblocking(true).map_err(NetError::Io)?;
+    /// Convert into the reactor-friendly nonblocking sender.
+    pub fn into_nonblocking(self) -> Result<NbTcpSender, NetError> {
+        self.stream.set_nonblocking(true).map_err(NetError::Io)?;
         Ok(NbTcpSender {
-            stream,
+            stream: self.stream,
             pending: Vec::new(),
             flushed: 0,
             counters: self.counters,
@@ -99,9 +76,8 @@ impl TcpSender {
 /// into a per-connection outbound buffer and writes as much as the socket
 /// accepts; on `WouldBlock` the remainder stays buffered and
 /// [`MsgSender::flush_pending`] retries it when the reactor reports the
-/// socket writable again. Byte accounting happens at frame time (like the
-/// blocking sender's at write time), so counters are independent of how
-/// the kernel slices the writes.
+/// socket writable again. Byte accounting happens at frame time, so
+/// counters are independent of how the kernel slices the writes.
 pub struct NbTcpSender {
     stream: TcpStream,
     /// Framed-but-unwritten bytes; `flushed` marks how far the socket got.
@@ -143,86 +119,22 @@ impl MsgSender for NbTcpSender {
     }
 }
 
-impl MsgSender for TcpSender {
-    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        let bytes = write_frame(&mut self.writer, msg).map_err(NetError::Io)?;
-        // Flush per message: the protocol's round trips are latency-bound.
-        self.writer.flush().map_err(NetError::Io)?;
-        self.counters.record(bytes, msg.event_units());
-        Ok(())
-    }
-}
-
 impl TcpReceiver {
     /// Wrap an accepted stream.
     pub fn from_stream(stream: TcpStream) -> Result<TcpReceiver, NetError> {
         stream.set_nodelay(true).map_err(NetError::Io)?;
-        Ok(TcpReceiver {
-            reader: BufReader::new(stream),
-            applied_timeout: None,
-        })
+        Ok(TcpReceiver { stream })
     }
 
-    /// Convert into the reactor-friendly nonblocking receiver. Bytes the
-    /// blocking `BufReader` already pulled off the socket are carried over
-    /// into the parse buffer, so no frame (or frame fragment) is lost in
-    /// the handoff.
+    /// Convert into the reactor-friendly nonblocking receiver.
     pub fn into_nonblocking(self) -> Result<NbTcpReceiver, NetError> {
-        let buf = self.reader.buffer().to_vec();
-        let stream = self.reader.into_inner();
-        stream.set_nonblocking(true).map_err(NetError::Io)?;
+        self.stream.set_nonblocking(true).map_err(NetError::Io)?;
         Ok(NbTcpReceiver {
-            stream,
-            buf,
+            stream: self.stream,
+            buf: Vec::new(),
             start: 0,
             closed: false,
         })
-    }
-
-    /// Put the socket in the wanted blocking mode, skipping the syscall
-    /// when it is already known to be in force. On failure the cached state
-    /// is invalidated *before* returning, so an early-return error path can
-    /// never leave a stale belief about the socket's mode — the next call
-    /// re-applies it unconditionally.
-    fn apply_timeout(&mut self, want: Option<Duration>) -> Result<(), NetError> {
-        if self.applied_timeout == Some(want) {
-            return Ok(());
-        }
-        self.applied_timeout = None;
-        self.reader
-            .get_ref()
-            .set_read_timeout(want)
-            .map_err(NetError::Io)?;
-        self.applied_timeout = Some(want);
-        Ok(())
-    }
-}
-
-impl MsgReceiver for TcpReceiver {
-    fn recv(&mut self) -> Result<Message, NetError> {
-        self.apply_timeout(None)?;
-        match read_frame(&mut self.reader) {
-            Ok((msg, _)) => Ok(msg),
-            Err(FrameError::Eof) => Err(NetError::Disconnected),
-            Err(FrameError::Io(e)) => Err(NetError::Io(e)),
-            Err(e) => Err(NetError::Corrupt(e.to_string())),
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        self.apply_timeout(Some(timeout))?;
-        match read_frame(&mut self.reader) {
-            Ok((msg, _)) => Ok(Some(msg)),
-            Err(FrameError::Eof) => Err(NetError::Disconnected),
-            Err(FrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(FrameError::Io(e)) => Err(NetError::Io(e)),
-            Err(e) => Err(NetError::Corrupt(e.to_string())),
-        }
     }
 }
 
@@ -241,34 +153,25 @@ pub struct NbTcpReceiver {
 impl NbTcpReceiver {
     /// Parse one frame out of the buffer, if a complete one is there.
     fn take_frame(&mut self) -> Result<Option<Message>, NetError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
+        let Some((msg, used)) =
+            decode_frame(&self.buf[self.start..]).map_err(|e| NetError::Corrupt(e.to_string()))?
+        else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        if len > MAX_FRAME {
-            return Err(NetError::Corrupt(format!(
-                "frame of {len} bytes exceeds limit"
-            )));
-        }
-        let total = 4 + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let msg =
-            Message::decode(&avail[4..total]).map_err(|e| NetError::Corrupt(e.to_string()))?;
-        self.start += total;
+        };
+        self.start += used;
         if self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
         }
         Ok(Some(msg))
     }
+}
 
+impl MsgReceiver for NbTcpReceiver {
     /// Poll for one message without blocking. `Ok(None)` when no complete
     /// frame is available yet; [`NetError::Disconnected`] once the peer
     /// has closed cleanly between frames (EOF mid-frame is corruption).
-    pub fn poll_msg(&mut self) -> Result<Option<Message>, NetError> {
+    fn try_recv(&mut self) -> Result<Option<Message>, NetError> {
         loop {
             if let Some(msg) = self.take_frame()? {
                 return Ok(Some(msg));
@@ -299,48 +202,6 @@ impl NbTcpReceiver {
     }
 }
 
-impl MsgReceiver for NbTcpReceiver {
-    fn recv(&mut self) -> Result<Message, NetError> {
-        let mut spins = 0u32;
-        loop {
-            if let Some(msg) = self.poll_msg()? {
-                return Ok(msg);
-            }
-            spins += 1;
-            if spins > 64 {
-                std::thread::sleep(Duration::from_micros(500));
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut spins = 0u32;
-        loop {
-            if let Some(msg) = self.poll_msg()? {
-                return Ok(Some(msg));
-            }
-            if std::time::Instant::now() >= deadline {
-                return Ok(None);
-            }
-            spins += 1;
-            if spins > 64 {
-                std::thread::sleep(Duration::from_micros(500));
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Genuinely non-blocking, unlike the blocking receiver's timed-wait
-    /// fallback — this is what makes the reactor's polling sweeps cheap.
-    fn try_recv(&mut self) -> Result<Option<Message>, NetError> {
-        self.poll_msg()
-    }
-}
-
 /// Bind a listener on `addr` (use port 0 for an ephemeral port).
 pub fn listen(addr: SocketAddr) -> Result<TcpListener, NetError> {
     TcpListener::bind(addr).map_err(NetError::Io)
@@ -358,14 +219,33 @@ mod tests {
     use dema_core::event::{Event, NodeId, WindowId};
     use dema_metrics::NetworkCounters;
 
-    fn loopback_pair() -> (TcpSender, TcpReceiver, SharedCounters) {
+    /// A connected loopback link, both halves nonblocking.
+    fn loopback_pair() -> (NbTcpSender, NbTcpReceiver, SharedCounters) {
         let listener = listen("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = listener.local_addr().unwrap();
         let counters = NetworkCounters::new_shared();
-        let tx_counters = SharedCounters::clone(&counters);
-        let tx_handle = std::thread::spawn(move || TcpSender::connect(addr, tx_counters).unwrap());
+        let tx = TcpSender::connect_timeout(
+            addr,
+            SharedCounters::clone(&counters),
+            Duration::from_secs(5),
+        )
+        .unwrap();
         let rx = accept(&listener).unwrap();
-        (tx_handle.join().unwrap(), rx, counters)
+        (
+            tx.into_nonblocking().unwrap(),
+            rx.into_nonblocking().unwrap(),
+            counters,
+        )
+    }
+
+    /// Poll until a message arrives.
+    fn next(rx: &mut NbTcpReceiver) -> Message {
+        loop {
+            if let Some(m) = rx.try_recv().unwrap() {
+                return m;
+            }
+            std::thread::yield_now();
+        }
     }
 
     fn msg(n: u64) -> Message {
@@ -380,9 +260,10 @@ mod tests {
     #[test]
     fn roundtrip_over_loopback() {
         let (mut tx, mut rx, counters) = loopback_pair();
+        assert!(rx.try_recv().unwrap().is_none(), "nothing sent yet");
         let m = msg(50);
         tx.send(&m).unwrap();
-        assert_eq!(rx.recv().unwrap(), m);
+        assert_eq!(next(&mut rx), m);
         let s = counters.snapshot();
         assert_eq!(s.bytes, m.encoded_len() as u64 + 4);
         assert_eq!(s.events, 50);
@@ -394,49 +275,29 @@ mod tests {
         let h = std::thread::spawn(move || {
             for i in 0..500 {
                 tx.send(&Message::GammaUpdate { gamma: i }).unwrap();
+                while !tx.flush_pending().unwrap() {
+                    std::thread::yield_now();
+                }
             }
         });
         for i in 0..500 {
-            assert_eq!(rx.recv().unwrap(), Message::GammaUpdate { gamma: i });
+            assert_eq!(next(&mut rx), Message::GammaUpdate { gamma: i });
         }
         h.join().unwrap();
     }
 
     #[test]
-    fn recv_timeout_returns_none() {
-        let (_tx, mut rx, _) = loopback_pair();
-        let got = rx.recv_timeout(Duration::from_millis(30)).unwrap();
-        assert!(got.is_none());
-    }
-
-    #[test]
-    fn peer_close_is_disconnect() {
-        let (tx, mut rx, _) = loopback_pair();
-        drop(tx);
-        assert!(matches!(rx.recv(), Err(NetError::Disconnected)));
-    }
-
-    #[test]
     fn connect_timeout_connects_and_surfaces_refusal() {
         // Happy path: a listener is up, the bounded connect succeeds.
-        let listener = listen("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let counters = NetworkCounters::new_shared();
-        let mut tx = TcpSender::connect_timeout(
-            addr,
-            SharedCounters::clone(&counters),
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        let mut rx = accept(&listener).unwrap();
+        let (mut tx, mut rx, _) = loopback_pair();
         tx.send(&Message::GammaUpdate { gamma: 3 }).unwrap();
-        assert_eq!(rx.recv().unwrap(), Message::GammaUpdate { gamma: 3 });
+        assert_eq!(next(&mut rx), Message::GammaUpdate { gamma: 3 });
 
         // Nothing listening: the error comes back as a real NetError::Io
         // instead of a hang or a panic.
+        let listener = listen("127.0.0.1:0".parse().unwrap()).unwrap();
         let dead = listener.local_addr().unwrap();
         drop(listener);
-        drop(rx);
         let err = TcpSender::connect_timeout(
             dead,
             NetworkCounters::new_shared(),
@@ -446,64 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn timeout_state_is_cached_and_modes_alternate_correctly() {
-        let (mut tx, mut rx, _) = loopback_pair();
-        // Timed mode, twice with the same deadline (second call skips the
-        // syscall via the cache), then blocking, then timed again.
-        assert!(rx
-            .recv_timeout(Duration::from_millis(10))
-            .unwrap()
-            .is_none());
-        assert!(rx
-            .recv_timeout(Duration::from_millis(10))
-            .unwrap()
-            .is_none());
-        tx.send(&Message::GammaUpdate { gamma: 1 }).unwrap();
-        assert_eq!(rx.recv().unwrap(), Message::GammaUpdate { gamma: 1 });
-        assert!(rx
-            .recv_timeout(Duration::from_millis(10))
-            .unwrap()
-            .is_none());
-        tx.send(&Message::GammaUpdate { gamma: 2 }).unwrap();
-        let got = rx.recv_timeout(Duration::from_millis(500)).unwrap();
-        assert_eq!(got, Some(Message::GammaUpdate { gamma: 2 }));
-    }
-
-    #[test]
-    fn nonblocking_roundtrip_preserves_handoff_bytes() {
-        // A message sent through the blocking halves may be sitting in the
-        // receiver's BufReader when both sides convert; nothing is lost.
-        let (mut tx, mut rx, counters) = loopback_pair();
-        let first = msg(10);
-        tx.send(&first).unwrap();
-        assert_eq!(rx.recv().unwrap(), first);
-        let mut tx = tx.into_nonblocking().unwrap();
-        let mut rx = rx.into_nonblocking().unwrap();
-        assert!(rx.poll_msg().unwrap().is_none());
-        let second = msg(50);
-        tx.send(&second).unwrap();
-        let got = loop {
-            if let Some(m) = rx.poll_msg().unwrap() {
-                break m;
-            }
-        };
-        assert_eq!(got, second);
-        let s = counters.snapshot();
-        assert_eq!(
-            s.bytes,
-            first.encoded_len() as u64 + second.encoded_len() as u64 + 8,
-            "accounting matches the blocking path frame-for-frame"
-        );
-    }
-
-    #[test]
     fn nonblocking_sender_buffers_on_full_socket_and_drains() {
         // Fill the loopback socket until a write would block: the sender
         // must buffer the remainder instead of erroring, then finish the
         // job via flush_pending as the reader drains.
-        let (tx, rx, _) = loopback_pair();
-        let mut tx = tx.into_nonblocking().unwrap();
-        let mut rx = rx.into_nonblocking().unwrap();
+        let (mut tx, mut rx, _) = loopback_pair();
         let big = msg(20_000);
         let mut sent = 0u64;
         while tx.pending_bytes() == 0 && sent < 256 {
@@ -515,7 +323,7 @@ mod tests {
         let mut got = 0u64;
         while got < sent {
             let _ = tx.flush_pending().unwrap();
-            match rx.poll_msg().unwrap() {
+            match rx.try_recv().unwrap() {
                 Some(m) => {
                     assert_eq!(m, big);
                     got += 1;
@@ -528,13 +336,19 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_peer_close_is_disconnect() {
-        let (tx, rx, _) = loopback_pair();
-        let mut rx = rx.into_nonblocking().unwrap();
+    fn peer_close_is_disconnect() {
+        // Frames the peer sent before closing are delivered first; only
+        // then does the receiver report the close.
+        let (mut tx, mut rx, _) = loopback_pair();
+        tx.send(&Message::GammaUpdate { gamma: 1 }).unwrap();
+        tx.send(&msg(10)).unwrap();
+        assert!(tx.flush_pending().unwrap());
         drop(tx);
+        assert_eq!(next(&mut rx), Message::GammaUpdate { gamma: 1 });
+        assert_eq!(next(&mut rx), msg(10));
         loop {
-            match rx.poll_msg() {
-                Ok(Some(_)) => panic!("nothing was sent"),
+            match rx.try_recv() {
+                Ok(Some(m)) => panic!("unexpected {m:?}"),
                 Ok(None) => std::thread::yield_now(),
                 Err(NetError::Disconnected) => break,
                 Err(e) => panic!("{e}"),
@@ -543,14 +357,16 @@ mod tests {
     }
 
     #[test]
-    fn timeout_then_delivery_still_works() {
-        let (mut tx, mut rx, _) = loopback_pair();
-        assert!(rx
-            .recv_timeout(Duration::from_millis(10))
-            .unwrap()
-            .is_none());
-        tx.send(&Message::GammaUpdate { gamma: 9 }).unwrap();
-        let got = rx.recv_timeout(Duration::from_millis(500)).unwrap();
-        assert_eq!(got, Some(Message::GammaUpdate { gamma: 9 }));
+    fn nonblocking_peer_close_is_disconnect() {
+        let (tx, mut rx, _) = loopback_pair();
+        drop(tx);
+        loop {
+            match rx.try_recv() {
+                Ok(Some(_)) => panic!("nothing was sent"),
+                Ok(None) => std::thread::yield_now(),
+                Err(NetError::Disconnected) => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
     }
 }

@@ -1,127 +1,57 @@
 //! Length-prefixed framing over byte streams.
 //!
 //! Each frame is a little-endian `u32` payload length followed by exactly
-//! one encoded [`Message`](crate::message::Message). Used by the TCP
-//! transport; the in-memory transport moves decoded messages directly and
-//! only uses `encoded_len` for byte accounting.
+//! one encoded [`Message`]. Used by the TCP transport; the in-memory
+//! transport moves decoded messages directly and only uses `encoded_len`
+//! for byte accounting. This module owns the frame format in both
+//! directions: [`encode_frame_into`] appends a frame to a connection's
+//! outbound buffer, [`decode_frame`] parses one off the front of its
+//! inbound buffer.
 
-use std::io::{self, Read, Write};
+use dema_core::alloc::{enter_phase, Phase};
 
 use crate::message::{Message, WireError};
-use crate::pool::BufferPool;
 
 /// Frames larger than this are treated as corruption.
 pub const MAX_FRAME: u32 = 1 << 30;
 
-/// Errors while reading a frame.
-#[derive(Debug)]
-pub enum FrameError {
-    /// Underlying I/O failed.
-    Io(io::Error),
-    /// Payload failed to decode.
-    Wire(WireError),
-    /// Length prefix exceeds [`MAX_FRAME`].
-    TooLarge(u32),
-    /// The stream ended cleanly between frames.
-    Eof,
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Io(e) => write!(f, "i/o error: {e}"),
-            FrameError::Wire(e) => write!(f, "decode error: {e}"),
-            FrameError::TooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
-            FrameError::Eof => write!(f, "end of stream"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<io::Error> for FrameError {
-    fn from(e: io::Error) -> FrameError {
-        FrameError::Io(e)
-    }
-}
-
-impl From<WireError> for FrameError {
-    fn from(e: WireError) -> FrameError {
-        FrameError::Wire(e)
-    }
-}
-
-/// Write one framed message. Returns the total bytes written (payload + 4).
-///
-/// The frame (length prefix + payload) is assembled in a buffer recycled
-/// through the process-wide [`BufferPool`] and handed to the writer as one
-/// contiguous `write_all` — on an unbuffered socket that is a single
-/// syscall per frame, and the steady state allocates nothing.
-pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<u64> {
-    write_frame_pooled(w, msg, BufferPool::global())
-}
-
-/// [`write_frame`] drawing its scratch buffer from a caller-chosen pool.
-pub fn write_frame_pooled<W: Write>(
-    w: &mut W,
-    msg: &Message,
-    pool: &std::sync::Arc<BufferPool>,
-) -> io::Result<u64> {
-    let _phase = dema_core::alloc::enter_phase(dema_core::alloc::Phase::Encode);
-    let mut buf = pool.acquire();
-    encode_frame_into(msg, &mut buf);
-    w.write_all(&buf)?;
-    Ok(buf.len() as u64)
-}
-
 /// Append one complete frame (length prefix + encoded payload) to `buf`.
 pub fn encode_frame_into(msg: &Message, buf: &mut Vec<u8>) {
+    let _phase = enter_phase(Phase::Encode);
     let len = msg.encoded_len() as u32;
     buf.reserve(len as usize + 4);
     buf.extend_from_slice(&len.to_le_bytes());
     msg.encode_into(buf);
 }
 
-/// Read one framed message. Returns the message and the total bytes read.
+/// Parse one frame off the front of `buf`. `Ok(None)` when `buf` does not
+/// yet hold a complete frame; otherwise the message and the frame's total
+/// length (prefix + payload), which the caller consumes.
 ///
-/// A clean EOF *before* the length prefix yields [`FrameError::Eof`]; EOF in
-/// the middle of a frame is an [`FrameError::Io`] error.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(Message, u64), FrameError> {
-    read_frame_pooled(r, BufferPool::global())
-}
-
-/// [`read_frame`] drawing its payload buffer from a caller-chosen pool.
-///
-/// The payload scratch lives only for the duration of the decode and goes
-/// straight back to the pool, so steady-state reads allocate nothing
-/// beyond the decoded message itself.
+/// # Errors
+/// A length prefix above [`MAX_FRAME`] is [`WireError::BadLength`]; a
+/// payload that does not decode is the codec's error.
 // hot-path: frame-io
-pub fn read_frame_pooled<R: Read>(
-    r: &mut R,
-    pool: &std::sync::Arc<BufferPool>,
-) -> Result<(Message, u64), FrameError> {
-    let _phase = dema_core::alloc::enter_phase(dema_core::alloc::Phase::Decode);
-    let mut len_buf = [0u8; 4];
-    // Distinguish clean EOF from mid-frame EOF.
-    match r.read(&mut len_buf)? {
-        0 => return Err(FrameError::Eof),
-        n if n < 4 => r.read_exact(&mut len_buf[n..])?,
-        _ => {}
-    }
-    let len = u32::from_le_bytes(len_buf);
+pub fn decode_frame(buf: &[u8]) -> Result<Option<(Message, usize)>, WireError> {
+    let _phase = enter_phase(Phase::Decode);
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix);
     if len > MAX_FRAME {
-        return Err(FrameError::TooLarge(len));
+        return Err(WireError::BadLength(u64::from(len)));
     }
-    let mut payload = pool.acquire();
-    payload.resize(len as usize, 0);
-    r.read_exact(&mut payload)?;
-    let msg = Message::decode(&payload)?;
-    Ok((msg, u64::from(len) + 4))
+    let total = 4 + len as usize;
+    let Some(payload) = buf.get(4..total) else {
+        return Ok(None);
+    };
+    Ok(Some((Message::decode(payload)?, total)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dema_core::alloc::{armed, AllocGate};
     use dema_core::event::{Event, NodeId, WindowId};
 
     fn sample() -> Message {
@@ -136,13 +66,11 @@ mod tests {
     #[test]
     fn roundtrip_over_a_buffer() {
         let mut buf = Vec::new();
-        let written = write_frame(&mut buf, &sample()).unwrap();
-        assert_eq!(written as usize, buf.len());
-        let mut cursor = &buf[..];
-        let (msg, read) = read_frame(&mut cursor).unwrap();
+        encode_frame_into(&sample(), &mut buf);
+        assert_eq!(buf.len(), sample().encoded_len() + 4);
+        let (msg, used) = decode_frame(&buf).unwrap().unwrap();
         assert_eq!(msg, sample());
-        assert_eq!(read, written);
-        assert!(cursor.is_empty());
+        assert_eq!(used, buf.len());
     }
 
     #[test]
@@ -157,30 +85,16 @@ mod tests {
             },
         ];
         for m in &msgs {
-            write_frame(&mut buf, m).unwrap();
+            encode_frame_into(m, &mut buf);
         }
-        let mut cursor = &buf[..];
+        let mut rest = &buf[..];
         for expected in &msgs {
-            let (msg, _) = read_frame(&mut cursor).unwrap();
+            let (msg, used) = decode_frame(rest).unwrap().unwrap();
             assert_eq!(&msg, expected);
+            rest = &rest[used..];
         }
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Eof)));
-    }
-
-    #[test]
-    fn pooled_writes_reuse_the_scratch_buffer() {
-        let pool = BufferPool::new();
-        let mut out = Vec::new();
-        write_frame_pooled(&mut out, &sample(), &pool).unwrap();
-        assert_eq!(pool.spare_count(), 1, "buffer returned after the write");
-        let first_len = out.len();
-        write_frame_pooled(&mut out, &sample(), &pool).unwrap();
-        assert_eq!(pool.spare_count(), 1);
-        assert_eq!(out.len(), 2 * first_len);
-        // Both frames decode back.
-        let mut cursor = &out[..];
-        assert_eq!(read_frame(&mut cursor).unwrap().0, sample());
-        assert_eq!(read_frame(&mut cursor).unwrap().0, sample());
+        assert!(rest.is_empty());
+        assert!(decode_frame(rest).unwrap().is_none());
     }
 
     #[test]
@@ -195,36 +109,50 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_is_distinguished() {
-        let mut empty: &[u8] = &[];
-        assert!(matches!(read_frame(&mut empty), Err(FrameError::Eof)));
-    }
-
-    #[test]
-    fn midframe_eof_is_an_error() {
+    fn partial_frames_wait_for_more_bytes() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &sample()).unwrap();
-        let mut cursor = &buf[..buf.len() - 3];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Io(_))));
+        encode_frame_into(&sample(), &mut buf);
+        for cut in [0, 3, 4, buf.len() - 1] {
+            assert!(decode_frame(&buf[..cut]).unwrap().is_none(), "cut {cut}");
+        }
     }
 
     #[test]
     fn oversize_frame_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        let mut cursor = &buf[..];
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::TooLarge(_))
-        ));
+        let buf = (MAX_FRAME + 1).to_le_bytes();
+        assert_eq!(
+            decode_frame(&buf).unwrap_err(),
+            WireError::BadLength(u64::from(MAX_FRAME) + 1)
+        );
     }
 
     #[test]
     fn corrupt_payload_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&1u32.to_le_bytes());
+        let mut buf = 1u32.to_le_bytes().to_vec();
         buf.push(0xFF); // bad tag
-        let mut cursor = &buf[..];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Wire(_))));
+        assert_eq!(decode_frame(&buf).unwrap_err(), WireError::BadTag(0xFF));
+    }
+
+    #[test]
+    fn codec_allocations_land_in_their_phases() {
+        if !armed() {
+            return;
+        }
+        let (encode, decode) = (Phase::Encode as usize, Phase::Decode as usize);
+        let other = Phase::Other as usize;
+        let msg = sample();
+        let mut buf = Vec::new();
+        let gate = AllocGate::steady_state();
+        encode_frame_into(&msg, &mut buf);
+        let enc = gate.delta();
+        assert!(enc.fresh[encode] > 0, "{enc:?}");
+        assert_eq!(enc.fresh[other], 0, "{enc:?}");
+
+        let gate = AllocGate::steady_state();
+        let decoded = decode_frame(&buf).unwrap();
+        let dec = gate.delta();
+        assert!(dec.fresh[decode] > 0, "{dec:?}");
+        assert_eq!(dec.fresh[other], 0, "{dec:?}");
+        assert_eq!(decoded.map(|(m, _)| m), Some(msg));
     }
 }

@@ -370,8 +370,8 @@ impl Message {
     }
 
     /// Encode into a caller-provided plain `Vec<u8>` (appending), e.g. a
-    /// buffer drawn from [`crate::pool::BufferPool`]. Produces exactly the
-    /// same bytes as [`Message::encode`].
+    /// connection's reused outbound buffer. Produces exactly the same bytes
+    /// as [`Message::encode`].
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.reserve(self.encoded_len());
         self.encode_impl(buf);

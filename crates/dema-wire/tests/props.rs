@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::slice::{SliceId, SliceSynopsis};
 use dema_sketch::tdigest::Centroid;
+use dema_wire::frame::{decode_frame, encode_frame_into};
 use dema_wire::Message;
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -146,16 +147,14 @@ proptest! {
     fn framing_roundtrip(msgs in vec(arb_message(), 0..10)) {
         let mut buf = Vec::new();
         for m in &msgs {
-            dema_wire::write_frame(&mut buf, m).unwrap();
+            encode_frame_into(m, &mut buf);
         }
-        let mut cursor = &buf[..];
+        let mut rest = &buf[..];
         for expected in &msgs {
-            let (got, _) = dema_wire::read_frame(&mut cursor).unwrap();
+            let (got, used) = decode_frame(rest).unwrap().unwrap();
             prop_assert_eq!(&got, expected);
+            rest = &rest[used..];
         }
-        prop_assert!(matches!(
-            dema_wire::read_frame(&mut cursor),
-            Err(dema_wire::frame::FrameError::Eof)
-        ));
+        prop_assert!(decode_frame(rest).unwrap().is_none());
     }
 }

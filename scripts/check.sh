@@ -51,7 +51,8 @@
 #                      hot-path crates, R13 all hot-path locks through
 #                      the ranked dema_core::sync wrappers, R15 no raw
 #                      allocation sites in marked hot-path regions, R16
-#                      frame buffers drawn from dema-wire::pool, R17 no
+#                      frames appended into the connection's reused
+#                      buffer (no per-frame scratch buffers), R17 no
 #                      SharedRun payload copies on send paths.
 #                      `dema-lint explain R<n>` decodes any rule id.
 #                      Stale baseline entries fail too (baseline only
@@ -91,6 +92,11 @@
 #                      every leaf per event is quadratic here (~15 s on a
 #                      2-core box); the O(1) completion check takes ~1 s.
 #   bench --no-run   — criterion benches must keep compiling
+#   rustdoc          — `cargo doc` of every workspace crate (the vendored
+#                      ones are members too) with warnings denied, so an
+#                      intra-doc link to a renamed or deleted item (or a
+#                      public doc pointing at a private one) fails here
+#                      instead of rotting
 #   clippy           — every warning is an error (-D warnings), and the
 #                      two lints that reintroduce hot-path copies are
 #                      denied explicitly: redundant_clone (event buffers
@@ -133,6 +139,7 @@ cargo run -q --release -p dema --features strict --bin dema-server -- \
     --leaves 8 --windows 2 --events 50 --transport tcp --quiet
 cargo run -q --release -p dema --example tcp_cluster > /dev/null
 cargo bench --no-run
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace --offline
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::redundant_clone \
     -D clippy::needless_collect

@@ -54,7 +54,7 @@ fn setup_identification(
         synopses: slices.iter().map(|s| s.synopsis(4).unwrap()).collect(),
     })
     .unwrap();
-    let Message::CandidateRequest { slices: wanted, .. } = rx.recv().unwrap() else {
+    let Message::CandidateRequest { slices: wanted, .. } = rx.try_recv().unwrap().unwrap() else {
         panic!("expected candidate request");
     };
     (slices, wanted)
