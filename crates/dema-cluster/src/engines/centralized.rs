@@ -2,158 +2,64 @@
 //! is shipped to the root, which sorts the whole window and picks the
 //! quantile. This is exactly the bottleneck the paper measures against.
 
-use std::collections::{BTreeMap, HashSet};
-
 use dema_core::event::{Event, NodeId, WindowId};
-use dema_core::numeric::len_to_u64;
+use dema_core::numeric::{len_to_u64, u64_to_usize};
 use dema_core::quantile::Quantile;
 use dema_net::MsgSender;
 use dema_wire::Message;
 
-use super::retry::{self, Supervisor};
-use super::{LocalEngine, ResolvedWindow, RootEngine, RootParams};
+use super::gather::Gather;
+use super::LocalEngine;
 use crate::ClusterError;
 
-#[derive(Default)]
-struct WindowState {
-    reported: HashSet<u32>,
-    batches: Vec<Vec<Event>>,
-}
+/// Root half: gather raw batches, sort the window, pick the rank.
+pub(crate) struct Centralized;
 
-impl retry::Contributions for WindowState {
-    fn reported(&self) -> &HashSet<u32> {
-        &self.reported
-    }
-}
+impl Gather for Centralized {
+    const NAME: &'static str = "centralized";
+    type Part = Vec<Event>;
 
-/// Root half: accumulate raw batches, sort, answer.
-pub struct CentralizedRoot {
-    quantile: Quantile,
-    n_locals: usize,
-    states: BTreeMap<u64, WindowState>,
-    control: Vec<Box<dyn MsgSender>>,
-    sup: Option<Supervisor>,
-}
-
-impl CentralizedRoot {
-    /// Build from the shell params.
-    pub fn new(params: RootParams) -> CentralizedRoot {
-        CentralizedRoot {
-            quantile: params.quantile,
-            n_locals: params.n_locals,
-            states: BTreeMap::new(),
-            control: params.control,
-            sup: params.resilience.map(Supervisor::new),
+    fn accept(&self, msg: Message) -> Result<(NodeId, WindowId, Vec<Event>), Message> {
+        match msg {
+            Message::EventBatch {
+                node,
+                window,
+                events,
+                ..
+            } => Ok((node, window, events)),
+            other => Err(other),
         }
     }
 
-    fn finalize_window(
-        &mut self,
+    fn answer(
+        &self,
+        parts: Vec<Vec<Event>>,
         window: WindowId,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let state = self.states.remove(&window.0).unwrap_or_default();
-        let degraded = retry::close_window(&mut self.sup, window.0, &state.reported, self.n_locals);
-        let mut all: Vec<Event> = state.batches.into_iter().flatten().collect();
+        quantile: Quantile,
+    ) -> Result<(u64, Option<i64>), ClusterError> {
+        let mut all: Vec<Event> = parts.into_iter().flatten().collect();
         let total = len_to_u64(all.len());
         if total == 0 {
-            resolved.push((
-                window,
-                ResolvedWindow {
-                    degraded,
-                    ..Default::default()
-                },
-            ));
-            return Ok(());
+            return Ok((0, None));
         }
         // The centralized root does the full sort itself.
         all.sort_unstable();
-        let k = self.quantile.pos(total)?;
+        let k = quantile.pos(total)?;
         let value = all
-            .get(dema_core::numeric::u64_to_usize(k - 1))
+            .get(u64_to_usize(k - 1))
             .map(|e| e.value)
             .ok_or_else(|| {
                 ClusterError::Protocol(format!("{window}: rank {k} beyond {total} events"))
             })?;
-        resolved.push((
-            window,
-            ResolvedWindow {
-                value: Some(value),
-                total_events: total,
-                degraded,
-                ..Default::default()
-            },
-        ));
-        Ok(())
+        Ok((total, Some(value)))
     }
 }
 
-impl RootEngine for CentralizedRoot {
-    fn on_message(
-        &mut self,
-        msg: Message,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let Message::EventBatch {
-            node,
-            window,
-            events,
-            ..
-        } = msg
-        else {
-            return Err(ClusterError::Protocol(format!(
-                "centralized root: unexpected message {msg:?}"
-            )));
-        };
-        if !retry::admit(&mut self.sup, window.0, node.0) {
-            return Ok(());
-        }
-        let state = self.states.entry(window.0).or_default();
-        if !state.reported.insert(node.0) {
-            retry::suppress_duplicate(&self.sup);
-            return Ok(());
-        }
-        state.batches.push(events);
-        if retry::covered(&self.sup, &state.reported, self.n_locals) {
-            self.finalize_window(window, resolved)?;
-        }
-        Ok(())
-    }
+/// Local half of the centralized and the t-digest engine: ship the window
+/// raw (the t-digest root builds its digest from the raw events).
+pub struct RawLocal;
 
-    fn next_deadline(&self) -> Option<std::time::Instant> {
-        retry::next_due(&self.sup)
-    }
-
-    fn on_tick(
-        &mut self,
-        expected_windows: u64,
-        quiescent: bool,
-        missing_enders: &[u32],
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<Vec<NodeId>, ClusterError> {
-        let Some(sup) = self.sup.as_mut() else {
-            return Ok(Vec::new());
-        };
-        let (newly_dead, completable) = retry::run_tick(
-            sup,
-            &mut self.control,
-            &self.states,
-            self.n_locals,
-            expected_windows,
-            quiescent,
-            missing_enders,
-        )?;
-        for w in completable {
-            self.finalize_window(WindowId(w), resolved)?;
-        }
-        Ok(newly_dead.into_iter().map(NodeId).collect())
-    }
-}
-
-/// Local half: ship the window raw.
-pub struct CentralizedLocal;
-
-impl LocalEngine for CentralizedLocal {
+impl LocalEngine for RawLocal {
     fn on_window(
         &mut self,
         node: NodeId,

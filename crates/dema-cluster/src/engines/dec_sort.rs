@@ -2,8 +2,6 @@
 //! their windows and ship sorted runs; the root k-way merges (it never
 //! re-sorts) and selects the quantile rank.
 
-use std::collections::{BTreeMap, HashSet};
-
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::merge::select_kth;
 use dema_core::numeric::len_to_u64;
@@ -11,151 +9,50 @@ use dema_core::quantile::Quantile;
 use dema_net::MsgSender;
 use dema_wire::Message;
 
-use super::retry::{self, Supervisor};
-use super::{LocalEngine, ResolvedWindow, RootEngine, RootParams};
+use super::gather::Gather;
+use super::LocalEngine;
 use crate::ClusterError;
 
-#[derive(Default)]
-struct WindowState {
-    reported: HashSet<u32>,
-    runs: Vec<Vec<Event>>,
-}
-
-impl retry::Contributions for WindowState {
-    fn reported(&self) -> &HashSet<u32> {
-        &self.reported
-    }
-}
-
 /// Root half: collect sorted runs, merge-select the rank.
-pub struct DecSortRoot {
-    quantile: Quantile,
-    n_locals: usize,
-    states: BTreeMap<u64, WindowState>,
-    control: Vec<Box<dyn MsgSender>>,
-    sup: Option<Supervisor>,
-}
+pub(crate) struct DecSort;
 
-impl DecSortRoot {
-    /// Build from the shell params.
-    pub fn new(params: RootParams) -> DecSortRoot {
-        DecSortRoot {
-            quantile: params.quantile,
-            n_locals: params.n_locals,
-            states: BTreeMap::new(),
-            control: params.control,
-            sup: params.resilience.map(Supervisor::new),
+impl Gather for DecSort {
+    const NAME: &'static str = "dec-sort";
+    type Part = Vec<Event>;
+
+    fn accept(&self, msg: Message) -> Result<(NodeId, WindowId, Vec<Event>), Message> {
+        match msg {
+            Message::EventBatch {
+                node,
+                window,
+                events,
+                ..
+            } => Ok((node, window, events)),
+            other => Err(other),
         }
     }
 
-    fn finalize_window(
-        &mut self,
-        window: WindowId,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let state = self.states.remove(&window.0).unwrap_or_default();
-        let degraded = retry::close_window(&mut self.sup, window.0, &state.reported, self.n_locals);
-        let runs = state.runs;
+    fn answer(
+        &self,
+        runs: Vec<Vec<Event>>,
+        _window: WindowId,
+        quantile: Quantile,
+    ) -> Result<(u64, Option<i64>), ClusterError> {
         let total: u64 = runs.iter().map(|r| len_to_u64(r.len())).sum();
         if total == 0 {
-            resolved.push((
-                window,
-                ResolvedWindow {
-                    degraded,
-                    ..Default::default()
-                },
-            ));
-            return Ok(());
+            return Ok((0, None));
         }
         // Locals pre-sorted; the root only merges.
-        let k = self.quantile.pos(total)?;
+        let k = quantile.pos(total)?;
         let value = select_kth(&runs, k).map_err(ClusterError::Core)?.value;
-        resolved.push((
-            window,
-            ResolvedWindow {
-                value: Some(value),
-                total_events: total,
-                degraded,
-                ..Default::default()
-            },
-        ));
-        Ok(())
-    }
-}
-
-impl RootEngine for DecSortRoot {
-    fn on_message(
-        &mut self,
-        msg: Message,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let Message::EventBatch {
-            node,
-            window,
-            events,
-            ..
-        } = msg
-        else {
-            return Err(ClusterError::Protocol(format!(
-                "dec-sort root: unexpected message {msg:?}"
-            )));
-        };
-        if !retry::admit(&mut self.sup, window.0, node.0) {
-            return Ok(());
-        }
-        let state = self.states.entry(window.0).or_default();
-        if !state.reported.insert(node.0) {
-            retry::suppress_duplicate(&self.sup);
-            return Ok(());
-        }
-        state.runs.push(events);
-        if retry::covered(&self.sup, &state.reported, self.n_locals) {
-            self.finalize_window(window, resolved)?;
-        }
-        Ok(())
-    }
-
-    fn next_deadline(&self) -> Option<std::time::Instant> {
-        retry::next_due(&self.sup)
-    }
-
-    fn on_tick(
-        &mut self,
-        expected_windows: u64,
-        quiescent: bool,
-        missing_enders: &[u32],
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<Vec<NodeId>, ClusterError> {
-        let Some(sup) = self.sup.as_mut() else {
-            return Ok(Vec::new());
-        };
-        let (newly_dead, completable) = retry::run_tick(
-            sup,
-            &mut self.control,
-            &self.states,
-            self.n_locals,
-            expected_windows,
-            quiescent,
-            missing_enders,
-        )?;
-        for w in completable {
-            self.finalize_window(WindowId(w), resolved)?;
-        }
-        Ok(newly_dead.into_iter().map(NodeId).collect())
+        Ok((total, Some(value)))
     }
 }
 
 /// Local half: sort, then ship the sorted run.
 pub struct DecSortLocal {
     /// Thread budget for the window sort (`dema_core::par`).
-    threads: usize,
-}
-
-impl DecSortLocal {
-    /// Build the local half with an explicit sort-thread budget.
-    pub fn new(threads: usize) -> DecSortLocal {
-        DecSortLocal { threads }
-    }
+    pub(crate) threads: usize,
 }
 
 impl LocalEngine for DecSortLocal {

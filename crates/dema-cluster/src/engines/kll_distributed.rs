@@ -11,8 +11,6 @@
 //! check holds for degraded windows too: both sides of it only count
 //! summaries that actually arrived.
 
-use std::collections::{BTreeMap, HashSet};
-
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::numeric::{f64_to_i64, i64_to_f64, len_to_u64};
 use dema_core::quantile::Quantile;
@@ -20,178 +18,95 @@ use dema_net::MsgSender;
 use dema_sketch::{KllSketch, QuantileSketch};
 use dema_wire::Message;
 
-use super::retry::{self, Supervisor};
-use super::{LocalEngine, ResolvedWindow, RootEngine, RootParams};
+use super::gather::Gather;
+use super::LocalEngine;
 use crate::ClusterError;
 
-#[derive(Default)]
-struct WindowState {
-    reported: HashSet<u32>,
-    items: Vec<(f64, u64)>,
+/// Root half: union weighted items, answer by cumulative-weight rank.
+pub(crate) struct Kll;
+
+/// One node's sketch of one window.
+pub(crate) struct Summary {
     count: u64,
     min: f64,
     max: f64,
+    items: Vec<(f64, u64)>,
 }
 
-impl retry::Contributions for WindowState {
-    fn reported(&self) -> &HashSet<u32> {
-        &self.reported
-    }
-}
+impl Gather for Kll {
+    const NAME: &'static str = "kll-dist";
+    type Part = Summary;
 
-/// Root half: union weighted items, answer by cumulative-weight rank.
-pub struct KllRoot {
-    quantile: Quantile,
-    n_locals: usize,
-    states: BTreeMap<u64, WindowState>,
-    control: Vec<Box<dyn MsgSender>>,
-    sup: Option<Supervisor>,
-}
-
-impl KllRoot {
-    /// Build from the shell params (k only matters on the local side).
-    pub fn new(params: RootParams) -> KllRoot {
-        KllRoot {
-            quantile: params.quantile,
-            n_locals: params.n_locals,
-            states: BTreeMap::new(),
-            control: params.control,
-            sup: params.resilience.map(Supervisor::new),
+    fn accept(&self, msg: Message) -> Result<(NodeId, WindowId, Summary), Message> {
+        match msg {
+            Message::SketchBatch {
+                node,
+                window,
+                count,
+                min,
+                max,
+                items,
+            } => Ok((
+                node,
+                window,
+                Summary {
+                    count,
+                    min,
+                    max,
+                    items,
+                },
+            )),
+            other => Err(other),
         }
     }
 
-    fn finalize_window(
-        &mut self,
+    fn answer(
+        &self,
+        parts: Vec<Summary>,
         window: WindowId,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let mut state = self.states.remove(&window.0).unwrap_or_default();
-        let degraded = retry::close_window(&mut self.sup, window.0, &state.reported, self.n_locals);
-        let total = state.count;
+        quantile: Quantile,
+    ) -> Result<(u64, Option<i64>), ClusterError> {
+        let total: u64 = parts.iter().map(|p| p.count).sum();
         if total == 0 {
-            resolved.push((
-                window,
-                ResolvedWindow {
-                    degraded,
-                    ..Default::default()
-                },
-            ));
-            return Ok(());
+            return Ok((0, None));
         }
         // Weight conservation across the union: the sketches must
         // account for every observation exactly once.
-        let weight: u64 = state.items.iter().map(|(_, w)| w).sum();
+        let mut items: Vec<(f64, u64)> =
+            parts.iter().flat_map(|p| p.items.iter().copied()).collect();
+        let weight: u64 = items.iter().map(|(_, w)| w).sum();
         if weight != total {
             return Err(ClusterError::Protocol(format!(
                 "{window}: sketch weight {weight} != count {total}"
             )));
         }
-        let target = self.quantile.pos(total)?;
-        state.items.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // An empty node ships min = max = 0; only non-empty ones bound the
+        // window.
+        let (min, max) = parts
+            .iter()
+            .filter(|p| p.count > 0)
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+                (lo.min(p.min), hi.max(p.max))
+            });
+        let target = quantile.pos(total)?;
+        items.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut acc = 0u64;
-        let mut estimate = state.max;
-        for (v, w) in &state.items {
+        let mut estimate = max;
+        for (v, w) in &items {
             acc += w;
             if acc >= target {
                 estimate = *v;
                 break;
             }
         }
-        let value = f64_to_i64(estimate.clamp(state.min, state.max));
-        resolved.push((
-            window,
-            ResolvedWindow {
-                value: Some(value),
-                total_events: total,
-                degraded,
-                ..Default::default()
-            },
-        ));
-        Ok(())
-    }
-}
-
-impl RootEngine for KllRoot {
-    fn on_message(
-        &mut self,
-        msg: Message,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let Message::SketchBatch {
-            node,
-            window,
-            count,
-            min,
-            max,
-            items,
-        } = msg
-        else {
-            return Err(ClusterError::Protocol(format!(
-                "kll-dist root: unexpected message {msg:?}"
-            )));
-        };
-        if !retry::admit(&mut self.sup, window.0, node.0) {
-            return Ok(());
-        }
-        let state = self.states.entry(window.0).or_default();
-        if !state.reported.insert(node.0) {
-            retry::suppress_duplicate(&self.sup);
-            return Ok(());
-        }
-        if state.count == 0 || min < state.min {
-            state.min = min;
-        }
-        if state.count == 0 || max > state.max {
-            state.max = max;
-        }
-        state.items.extend(items);
-        state.count += count;
-        if retry::covered(&self.sup, &state.reported, self.n_locals) {
-            self.finalize_window(window, resolved)?;
-        }
-        Ok(())
-    }
-
-    fn next_deadline(&self) -> Option<std::time::Instant> {
-        retry::next_due(&self.sup)
-    }
-
-    fn on_tick(
-        &mut self,
-        expected_windows: u64,
-        quiescent: bool,
-        missing_enders: &[u32],
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<Vec<NodeId>, ClusterError> {
-        let Some(sup) = self.sup.as_mut() else {
-            return Ok(Vec::new());
-        };
-        let (newly_dead, completable) = retry::run_tick(
-            sup,
-            &mut self.control,
-            &self.states,
-            self.n_locals,
-            expected_windows,
-            quiescent,
-            missing_enders,
-        )?;
-        for w in completable {
-            self.finalize_window(WindowId(w), resolved)?;
-        }
-        Ok(newly_dead.into_iter().map(NodeId).collect())
+        Ok((total, Some(f64_to_i64(estimate.clamp(min, max)))))
     }
 }
 
 /// Local half: sketch the window, ship the weighted summary.
 pub struct KllLocal {
-    k: usize,
-}
-
-impl KllLocal {
-    /// Build the local half with sketch capacity parameter `k`.
-    pub fn new(k: usize) -> KllLocal {
-        KllLocal { k }
-    }
+    /// Sketch capacity parameter.
+    pub(crate) k: usize,
 }
 
 impl LocalEngine for KllLocal {

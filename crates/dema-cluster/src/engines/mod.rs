@@ -7,18 +7,31 @@
 //! [`ResolvedWindow`]s into report outcomes; the local shell paces windows
 //! and stamps close times. Everything protocol-specific — which wire
 //! messages an engine sends, how the root combines them, when a window is
-//! done — lives in this directory. Adding an engine means adding one module
-//! here and one row to [`REGISTRY`]; no `match` arm elsewhere grows.
+//! done — lives in this directory.
+//!
+//! An engine is one of two shapes. A one-shot engine — every engine but
+//! Dema — has each local send one part per window and the root answer once
+//! every local has reported: it is a `Gather` impl (unpack the uplink
+//! variant, answer from the window's parts in node-id order) plus a
+//! [`LocalEngine`], and the shared `GatherRoot` shell owns the report set,
+//! retries, duplicates and degraded verdicts. An engine with a multi-step
+//! protocol (Dema's identification + calculation) implements [`RootEngine`]
+//! itself. Adding an engine means adding one module here, one row to
+//! [`REGISTRY`] and one arm to `build_root`/`build_local`, plus its roles in
+//! `dema-model`'s protocol spec.
 
 pub mod centralized;
 pub mod dec_sort;
 pub mod dema;
+mod gather;
 pub mod kll_distributed;
 pub mod retry;
 pub mod tdigest_central;
 pub mod tdigest_distributed;
 
 pub use retry::ResilienceCtx;
+
+use gather::GatherRoot;
 
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::quantile::Quantile;
@@ -294,15 +307,19 @@ pub fn build_root(kind: EngineKind, params: RootParams) -> Box<dyn RootEngine> {
         EngineKind::Dema { gamma, strategy } => {
             Box::new(dema::DemaRoot::new(gamma, strategy, params))
         }
-        EngineKind::Centralized => Box::new(centralized::CentralizedRoot::new(params)),
-        EngineKind::DecSort => Box::new(dec_sort::DecSortRoot::new(params)),
-        EngineKind::TdigestCentral { compression } => Box::new(
-            tdigest_central::TdigestCentralRoot::new(compression, params),
-        ),
-        EngineKind::TdigestDistributed { .. } => {
-            Box::new(tdigest_distributed::TdigestDistributedRoot::new(params))
+        EngineKind::Centralized => Box::new(GatherRoot::new(centralized::Centralized, params)),
+        EngineKind::DecSort => Box::new(GatherRoot::new(dec_sort::DecSort, params)),
+        EngineKind::TdigestCentral { compression } => Box::new(GatherRoot::new(
+            tdigest_central::TdigestCentral { compression },
+            params,
+        )),
+        EngineKind::TdigestDistributed { .. } => Box::new(GatherRoot::new(
+            tdigest_distributed::TdigestDistributed,
+            params,
+        )),
+        EngineKind::KllDistributed { .. } => {
+            Box::new(GatherRoot::new(kll_distributed::Kll, params))
         }
-        EngineKind::KllDistributed { .. } => Box::new(kll_distributed::KllRoot::new(params)),
     }
 }
 
@@ -311,13 +328,16 @@ pub fn build_root(kind: EngineKind, params: RootParams) -> Box<dyn RootEngine> {
 pub fn build_local(kind: EngineKind, shared: &dema::LocalShared) -> Box<dyn LocalEngine + '_> {
     match kind {
         EngineKind::Dema { .. } => Box::new(dema::DemaLocal::new(shared)),
-        EngineKind::Centralized => Box::new(centralized::CentralizedLocal),
-        EngineKind::DecSort => Box::new(dec_sort::DecSortLocal::new(shared.threads)),
-        EngineKind::TdigestCentral { .. } => Box::new(tdigest_central::TdigestCentralLocal),
-        EngineKind::TdigestDistributed { compression } => Box::new(
-            tdigest_distributed::TdigestDistributedLocal::new(compression),
-        ),
-        EngineKind::KllDistributed { k } => Box::new(kll_distributed::KllLocal::new(k)),
+        EngineKind::Centralized | EngineKind::TdigestCentral { .. } => {
+            Box::new(centralized::RawLocal)
+        }
+        EngineKind::DecSort => Box::new(dec_sort::DecSortLocal {
+            threads: shared.threads,
+        }),
+        EngineKind::TdigestDistributed { compression } => {
+            Box::new(tdigest_distributed::TdigestDistributedLocal { compression })
+        }
+        EngineKind::KllDistributed { k } => Box::new(kll_distributed::KllLocal { k }),
     }
 }
 

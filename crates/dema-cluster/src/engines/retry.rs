@@ -312,19 +312,26 @@ pub(crate) fn send_lossy(link: &mut dyn MsgSender, msg: &Message) -> Result<(), 
     }
 }
 
-/// Shared tick body for single-stage engines (everything except Dema):
-/// manages the stream-end deadline, charges expiries, and NACKs missing
+/// Tick body for the one-shot engines (everything except Dema): once the
+/// run is quiescent arms a deadline for every outstanding window, manages
+/// the stream-end deadline, charges expiries, and NACKs missing
 /// contributions with [`Message::ResendWindow`]. Returns nodes newly
-/// declared dead; the engine then sweeps for windows completable from
+/// declared dead; the caller then sweeps for windows completable from
 /// survivors.
 pub(crate) fn tick_single_stage(
     sup: &mut Supervisor,
     control: &mut [Box<dyn MsgSender>],
     n_locals: usize,
+    expected_windows: u64,
     quiescent: bool,
     missing_enders: &[u32],
     has_reported: &dyn Fn(u64, u32) -> bool,
 ) -> Result<Vec<u32>, ClusterError> {
+    if quiescent {
+        for w in 0..expected_windows {
+            sup.arm(w);
+        }
+    }
     if missing_enders.is_empty() {
         sup.disarm(END_KEY);
     } else if quiescent {
@@ -373,90 +380,11 @@ pub(crate) fn tick_single_stage(
     Ok(newly_dead)
 }
 
-/// A window state that tracks which locals contributed, for the shared
-/// single-stage tick.
-pub(crate) trait Contributions {
-    /// Locals whose contribution for this window arrived.
-    fn reported(&self) -> &HashSet<u32>;
-}
-
-/// Pre-filter one arriving contribution. Suppresses it when the window is
-/// already finished (a retry-induced duplicate), otherwise resets the
-/// node's liveness budget and arms the window deadline. Returns `false`
-/// when the message should be dropped. A no-op `true` without a supervisor.
-pub(crate) fn admit(sup: &mut Option<Supervisor>, w: u64, node: u32) -> bool {
-    let Some(sup) = sup.as_mut() else { return true };
-    if sup.is_done(w) {
-        sup.counters.record_duplicate();
-        return false;
-    }
-    sup.note_alive(node);
-    sup.arm(w);
-    true
-}
-
 /// Record one suppressed duplicate (same node contributing twice).
 pub(crate) fn suppress_duplicate(sup: &Option<Supervisor>) {
     if let Some(sup) = sup {
         sup.counters.record_duplicate();
     }
-}
-
-/// `true` when `reported` (plus the dead set, if supervised) covers every
-/// local — the window cannot gain further contributions.
-pub(crate) fn covered(sup: &Option<Supervisor>, reported: &HashSet<u32>, n_locals: usize) -> bool {
-    match sup {
-        Some(s) => s.covered(Some(reported), n_locals),
-        None => reported.len() == n_locals,
-    }
-}
-
-/// Close the books on a finishing window: build its degraded record (if
-/// any) and mark it done so late duplicates are suppressed.
-pub(crate) fn close_window(
-    sup: &mut Option<Supervisor>,
-    w: u64,
-    reported: &HashSet<u32>,
-    n_locals: usize,
-) -> Option<Degraded> {
-    let sup = sup.as_mut()?;
-    let d = sup.degrade_record(w, reported, n_locals);
-    sup.finish(w);
-    d
-}
-
-/// Full tick for a single-stage engine: arms deadlines for every
-/// outstanding window once the run is quiescent, runs
-/// [`tick_single_stage`], and reports which windows became completable
-/// from survivors. The engine then finalizes those windows itself.
-pub(crate) fn run_tick<S: Contributions>(
-    sup: &mut Supervisor,
-    control: &mut [Box<dyn MsgSender>],
-    states: &BTreeMap<u64, S>,
-    n_locals: usize,
-    expected_windows: u64,
-    quiescent: bool,
-    missing_enders: &[u32],
-) -> Result<(Vec<u32>, Vec<u64>), ClusterError> {
-    if quiescent {
-        for w in 0..expected_windows {
-            if !sup.is_done(w) {
-                sup.arm(w);
-            }
-        }
-    }
-    let newly_dead = tick_single_stage(
-        sup,
-        control,
-        n_locals,
-        quiescent,
-        missing_enders,
-        &|w, n| states.get(&w).is_some_and(|s| s.reported().contains(&n)),
-    )?;
-    let completable = (0..expected_windows)
-        .filter(|&w| !sup.is_done(w) && sup.covered(states.get(&w).map(|s| s.reported()), n_locals))
-        .collect();
-    Ok((newly_dead, completable))
 }
 
 /// Shared [`crate::engines::RootEngine::next_deadline`] body: the earliest

@@ -1,179 +1,54 @@
 //! The centralized t-digest baseline (approximate) — raw events to the
 //! root, which feeds a single t-digest (Dunning & Ertl) and reports an
 //! approximate quantile. Same wire cost as the centralized engine, less
-//! root CPU, no exactness.
+//! root CPU, no exactness. The local half is the centralized engine's
+//! [`super::centralized::RawLocal`].
 
-use std::collections::{BTreeMap, HashSet};
-
-use dema_core::event::{NodeId, WindowId};
+use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::numeric::{f64_to_i64, i64_to_f64, len_to_u64};
 use dema_core::quantile::Quantile;
-use dema_net::MsgSender;
 use dema_sketch::{QuantileSketch, TDigest};
 use dema_wire::Message;
 
-use super::retry::{self, Supervisor};
-use super::{LocalEngine, ResolvedWindow, RootEngine, RootParams};
+use super::gather::Gather;
 use crate::ClusterError;
 
-struct WindowState {
-    reported: HashSet<u32>,
-    digest: TDigest,
-    count: u64,
-}
-
-impl retry::Contributions for WindowState {
-    fn reported(&self) -> &HashSet<u32> {
-        &self.reported
-    }
-}
-
 /// Root half: insert every raw event into one digest per window.
-pub struct TdigestCentralRoot {
-    quantile: Quantile,
-    compression: f64,
-    n_locals: usize,
-    states: BTreeMap<u64, WindowState>,
-    control: Vec<Box<dyn MsgSender>>,
-    sup: Option<Supervisor>,
+pub(crate) struct TdigestCentral {
+    /// Digest compression δ.
+    pub(crate) compression: f64,
 }
 
-impl TdigestCentralRoot {
-    /// Build from the digest compression δ and the shell params.
-    pub fn new(compression: f64, params: RootParams) -> TdigestCentralRoot {
-        TdigestCentralRoot {
-            quantile: params.quantile,
-            compression,
-            n_locals: params.n_locals,
-            states: BTreeMap::new(),
-            control: params.control,
-            sup: params.resilience.map(Supervisor::new),
+impl Gather for TdigestCentral {
+    const NAME: &'static str = "tdigest";
+    type Part = Vec<Event>;
+
+    fn accept(&self, msg: Message) -> Result<(NodeId, WindowId, Vec<Event>), Message> {
+        match msg {
+            Message::EventBatch {
+                node,
+                window,
+                events,
+                ..
+            } => Ok((node, window, events)),
+            other => Err(other),
         }
     }
 
-    fn finalize_window(
-        &mut self,
-        window: WindowId,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let state = match self.states.remove(&window.0) {
-            Some(s) => s,
-            None => WindowState {
-                reported: HashSet::new(),
-                digest: TDigest::new(self.compression),
-                count: 0,
-            },
-        };
-        let degraded = retry::close_window(&mut self.sup, window.0, &state.reported, self.n_locals);
-        let total = state.count;
-        let value = if total == 0 {
-            None
-        } else {
-            state
-                .digest
-                .quantile(self.quantile.fraction())
-                .map(f64_to_i64)
-        };
-        resolved.push((
-            window,
-            ResolvedWindow {
-                value,
-                total_events: total,
-                degraded,
-                ..Default::default()
-            },
-        ));
-        Ok(())
-    }
-}
-
-impl RootEngine for TdigestCentralRoot {
-    fn on_message(
-        &mut self,
-        msg: Message,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let Message::EventBatch {
-            node,
-            window,
-            events,
-            ..
-        } = msg
-        else {
-            return Err(ClusterError::Protocol(format!(
-                "tdigest root: unexpected message {msg:?}"
-            )));
-        };
-        if !retry::admit(&mut self.sup, window.0, node.0) {
-            return Ok(());
+    fn answer(
+        &self,
+        batches: Vec<Vec<Event>>,
+        _window: WindowId,
+        quantile: Quantile,
+    ) -> Result<(u64, Option<i64>), ClusterError> {
+        let mut digest = TDigest::new(self.compression);
+        for e in batches.iter().flatten() {
+            digest.insert(i64_to_f64(e.value));
         }
-        let compression = self.compression;
-        let state = self.states.entry(window.0).or_insert_with(|| WindowState {
-            reported: HashSet::new(),
-            digest: TDigest::new(compression),
-            count: 0,
-        });
-        if !state.reported.insert(node.0) {
-            retry::suppress_duplicate(&self.sup);
-            return Ok(());
+        let total: u64 = batches.iter().map(|b| len_to_u64(b.len())).sum();
+        if total == 0 {
+            return Ok((0, None));
         }
-        for e in &events {
-            state.digest.insert(i64_to_f64(e.value));
-        }
-        state.count += len_to_u64(events.len());
-        if retry::covered(&self.sup, &state.reported, self.n_locals) {
-            self.finalize_window(window, resolved)?;
-        }
-        Ok(())
-    }
-
-    fn next_deadline(&self) -> Option<std::time::Instant> {
-        retry::next_due(&self.sup)
-    }
-
-    fn on_tick(
-        &mut self,
-        expected_windows: u64,
-        quiescent: bool,
-        missing_enders: &[u32],
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<Vec<NodeId>, ClusterError> {
-        let Some(sup) = self.sup.as_mut() else {
-            return Ok(Vec::new());
-        };
-        let (newly_dead, completable) = retry::run_tick(
-            sup,
-            &mut self.control,
-            &self.states,
-            self.n_locals,
-            expected_windows,
-            quiescent,
-            missing_enders,
-        )?;
-        for w in completable {
-            self.finalize_window(WindowId(w), resolved)?;
-        }
-        Ok(newly_dead.into_iter().map(NodeId).collect())
-    }
-}
-
-/// Local half: ship the window raw (the digest is built at the root).
-pub struct TdigestCentralLocal;
-
-impl LocalEngine for TdigestCentralLocal {
-    fn on_window(
-        &mut self,
-        node: NodeId,
-        window: WindowId,
-        events: Vec<dema_core::event::Event>,
-        to_root: &mut dyn MsgSender,
-    ) -> Result<(), ClusterError> {
-        to_root.send(&Message::EventBatch {
-            node,
-            window,
-            sorted: false,
-            events,
-        })?;
-        Ok(())
+        Ok((total, digest.quantile(quantile.fraction()).map(f64_to_i64)))
     }
 }

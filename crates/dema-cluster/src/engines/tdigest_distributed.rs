@@ -3,8 +3,6 @@
 //! decentralized setup"): locals build digests, centroids are shipped, the
 //! root merges.
 
-use std::collections::{BTreeMap, HashSet};
-
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::numeric::{f64_to_i64, i64_to_f64, len_to_u64};
 use dema_core::quantile::Quantile;
@@ -12,157 +10,57 @@ use dema_net::MsgSender;
 use dema_sketch::{QuantileSketch, TDigest};
 use dema_wire::Message;
 
-use super::retry::{self, Supervisor};
-use super::{LocalEngine, ResolvedWindow, RootEngine, RootParams};
+use super::gather::Gather;
+use super::LocalEngine;
 use crate::ClusterError;
 
-#[derive(Default)]
-struct WindowState {
-    reported: HashSet<u32>,
-    digest: Option<TDigest>,
-    count: u64,
-}
+/// Root half: merge per-node digests (compression travels with each batch).
+pub(crate) struct TdigestDistributed;
 
-impl retry::Contributions for WindowState {
-    fn reported(&self) -> &HashSet<u32> {
-        &self.reported
-    }
-}
+impl Gather for TdigestDistributed {
+    const NAME: &'static str = "tdigest-dist";
+    /// A node's event count and its digest.
+    type Part = (u64, TDigest);
 
-/// Root half: merge per-node digests.
-pub struct TdigestDistributedRoot {
-    quantile: Quantile,
-    n_locals: usize,
-    states: BTreeMap<u64, WindowState>,
-    control: Vec<Box<dyn MsgSender>>,
-    sup: Option<Supervisor>,
-}
-
-impl TdigestDistributedRoot {
-    /// Build from the shell params (compression travels with each batch).
-    pub fn new(params: RootParams) -> TdigestDistributedRoot {
-        TdigestDistributedRoot {
-            quantile: params.quantile,
-            n_locals: params.n_locals,
-            states: BTreeMap::new(),
-            control: params.control,
-            sup: params.resilience.map(Supervisor::new),
-        }
-    }
-
-    fn finalize_window(
-        &mut self,
-        window: WindowId,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let state = self.states.remove(&window.0).unwrap_or_default();
-        let degraded = retry::close_window(&mut self.sup, window.0, &state.reported, self.n_locals);
-        let total = state.count;
-        if total == 0 {
-            resolved.push((
+    fn accept(&self, msg: Message) -> Result<(NodeId, WindowId, (u64, TDigest)), Message> {
+        match msg {
+            Message::DigestBatch {
+                node,
                 window,
-                ResolvedWindow {
-                    degraded,
-                    ..Default::default()
-                },
-            ));
-            return Ok(());
+                count,
+                compression,
+                centroids,
+            } => Ok((
+                node,
+                window,
+                (count, TDigest::from_centroids(compression, centroids)),
+            )),
+            other => Err(other),
         }
-        let digest = state.digest.as_ref().ok_or_else(|| {
-            ClusterError::Protocol(format!("{window}: digest count {total} without a digest"))
-        })?;
-        let value = digest.quantile(self.quantile.fraction()).map(f64_to_i64);
-        resolved.push((
-            window,
-            ResolvedWindow {
-                value,
-                total_events: total,
-                degraded,
-                ..Default::default()
-            },
-        ));
-        Ok(())
     }
-}
 
-impl RootEngine for TdigestDistributedRoot {
-    fn on_message(
-        &mut self,
-        msg: Message,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let Message::DigestBatch {
-            node,
-            window,
-            count,
-            compression,
-            centroids,
-        } = msg
-        else {
-            return Err(ClusterError::Protocol(format!(
-                "tdigest-dist root: unexpected message {msg:?}"
-            )));
+    fn answer(
+        &self,
+        parts: Vec<(u64, TDigest)>,
+        _window: WindowId,
+        quantile: Quantile,
+    ) -> Result<(u64, Option<i64>), ClusterError> {
+        let total: u64 = parts.iter().map(|(count, _)| count).sum();
+        let mut digests = parts.into_iter().map(|(_, digest)| digest);
+        let Some(mut merged) = digests.next().filter(|_| total > 0) else {
+            return Ok((0, None));
         };
-        if !retry::admit(&mut self.sup, window.0, node.0) {
-            return Ok(());
+        for digest in digests {
+            merged.merge_from(&digest);
         }
-        let state = self.states.entry(window.0).or_default();
-        if !state.reported.insert(node.0) {
-            retry::suppress_duplicate(&self.sup);
-            return Ok(());
-        }
-        let incoming = TDigest::from_centroids(compression, centroids);
-        match &mut state.digest {
-            Some(d) => d.merge_from(&incoming),
-            None => state.digest = Some(incoming),
-        }
-        state.count += count;
-        if retry::covered(&self.sup, &state.reported, self.n_locals) {
-            self.finalize_window(window, resolved)?;
-        }
-        Ok(())
-    }
-
-    fn next_deadline(&self) -> Option<std::time::Instant> {
-        retry::next_due(&self.sup)
-    }
-
-    fn on_tick(
-        &mut self,
-        expected_windows: u64,
-        quiescent: bool,
-        missing_enders: &[u32],
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<Vec<NodeId>, ClusterError> {
-        let Some(sup) = self.sup.as_mut() else {
-            return Ok(Vec::new());
-        };
-        let (newly_dead, completable) = retry::run_tick(
-            sup,
-            &mut self.control,
-            &self.states,
-            self.n_locals,
-            expected_windows,
-            quiescent,
-            missing_enders,
-        )?;
-        for w in completable {
-            self.finalize_window(WindowId(w), resolved)?;
-        }
-        Ok(newly_dead.into_iter().map(NodeId).collect())
+        Ok((total, merged.quantile(quantile.fraction()).map(f64_to_i64)))
     }
 }
 
 /// Local half: build a digest per window, ship its centroids.
 pub struct TdigestDistributedLocal {
-    compression: f64,
-}
-
-impl TdigestDistributedLocal {
-    /// Build the local half with digest compression δ.
-    pub fn new(compression: f64) -> TdigestDistributedLocal {
-        TdigestDistributedLocal { compression }
-    }
+    /// Digest compression δ.
+    pub(crate) compression: f64,
 }
 
 impl LocalEngine for TdigestDistributedLocal {

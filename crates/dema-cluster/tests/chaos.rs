@@ -14,6 +14,7 @@
 
 use dema_cluster::config::TransportKind;
 use dema_cluster::config::{ClusterConfig, EngineKind, GammaMode, NodeFaults, Resilience};
+use dema_cluster::engines::REGISTRY;
 use dema_cluster::report::RunReport;
 use dema_cluster::runner::run_cluster;
 use dema_core::event::Event;
@@ -93,23 +94,29 @@ fn run_clean(engine: EngineKind, inputs: &[Vec<Vec<Event>>]) -> RunReport {
     run_cluster(&cfg, inputs.to_vec()).expect("clean run")
 }
 
+/// Dema at a small γ, then every one-shot engine of the registry. A
+/// one-shot root answers from the window's parts in node order and a resend
+/// replays the identical part, so even the sketches recover bit-identically.
+fn dema_and_one_shot_engines() -> Vec<EngineKind> {
+    let dema = EngineKind::Dema {
+        gamma: GammaMode::Fixed(8),
+        strategy: SelectionStrategy::WindowCut,
+    };
+    let one_shot = REGISTRY.iter().filter(|d| !d.control_plane);
+    std::iter::once(dema)
+        .chain(one_shot.map(|d| (d.example)()))
+        .collect()
+}
+
 /// Message loss below the death threshold must be invisible in the answers:
-/// every exact engine returns bit-identical values to its fault-free run,
-/// no window degrades, and the retry counters show the recovery happened.
+/// every engine without a control plane, and Dema, returns bit-identical
+/// values to its fault-free run, no window degrades, and the retry counters show the recovery happened.
 #[test]
 fn drop_matrix_exact_engines_recover_bit_identically() {
     let seed = chaos_seed();
     let inputs = interleaved_inputs(3, 8, 60);
-    let engines = [
-        EngineKind::Dema {
-            gamma: GammaMode::Fixed(8),
-            strategy: SelectionStrategy::WindowCut,
-        },
-        EngineKind::Centralized,
-        EngineKind::DecSort,
-    ];
     let mut total_recoveries = 0u64;
-    for engine in engines {
+    for engine in dema_and_one_shot_engines() {
         let clean = run_clean(engine, &inputs);
         let mut cfg = ClusterConfig::baseline(engine, Quantile::MEDIAN);
         cfg.resilience = Some(lossy_resilience(seed));
@@ -151,13 +158,7 @@ fn delay_dup_reorder_is_exact_with_duplicates_suppressed() {
             .with_reorder(0.25, 3)
     };
     let mut total_dups = 0u64;
-    for engine in [
-        EngineKind::Dema {
-            gamma: GammaMode::Fixed(8),
-            strategy: SelectionStrategy::WindowCut,
-        },
-        EngineKind::Centralized,
-    ] {
+    for engine in dema_and_one_shot_engines() {
         let clean = run_clean(engine, &inputs);
         let mut cfg = ClusterConfig::baseline(engine, Quantile::MEDIAN);
         cfg.resilience = Some(lossy_resilience(seed));

@@ -5,6 +5,7 @@
 //! counts all equal.
 
 use dema_cluster::config::{ClusterConfig, EngineKind, GammaMode};
+use dema_cluster::engines::REGISTRY;
 use dema_cluster::report::RunReport;
 use dema_cluster::runner::run_cluster;
 use dema_core::event::Event;
@@ -76,12 +77,18 @@ fn dema_traffic_is_bit_identical_across_thread_counts() {
 #[test]
 fn dec_sort_batches_are_bit_identical_across_thread_counts() {
     // DecSort ships the *sorted run itself*, so any instability in the
-    // sort would change wire bytes, not just ordering in memory.
+    // sort would change wire bytes, not just ordering in memory. The other
+    // one-shot engines ride along: their roots answer from the window's
+    // parts in node order, so the shard count (which decides arrival
+    // order) must not move a value — not even the order-sensitive
+    // t-digest merge.
     let inputs = big_inputs(2, 2);
-    let config = ClusterConfig::baseline(EngineKind::DecSort, Quantile::P75);
-    let serial = run_at(config.clone(), 1, &inputs);
-    let parallel = run_at(config, 4, &inputs);
-    assert_reports_identical(&serial, &parallel, "dec-sort");
+    for desc in REGISTRY.iter().filter(|d| !d.control_plane) {
+        let config = ClusterConfig::baseline((desc.example)(), Quantile::P75);
+        let serial = run_at(config.clone(), 1, &inputs);
+        let parallel = run_at(config, 4, &inputs);
+        assert_reports_identical(&serial, &parallel, desc.label);
+    }
 }
 
 #[test]

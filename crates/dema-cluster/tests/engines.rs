@@ -180,8 +180,32 @@ fn empty_windows_produce_none_results() {
         vec![vec![], vec![Event::new(5, 1500, 0)], vec![]],
         vec![vec![], vec![Event::new(7, 1600, 1)], vec![]],
     ];
-    let report = run_cluster(&ClusterConfig::dema_fixed(10, Quantile::MEDIAN), inputs).unwrap();
+    let report = run_cluster(
+        &ClusterConfig::dema_fixed(10, Quantile::MEDIAN),
+        inputs.clone(),
+    )
+    .unwrap();
     assert_eq!(report.values(), vec![None, Some(5), None]);
+    // Every engine answers an empty window with `None` and zero events.
+    for desc in &dema_cluster::engines::REGISTRY {
+        let config = ClusterConfig::baseline((desc.example)(), Quantile::MEDIAN);
+        let report = run_cluster(&config, inputs.clone()).unwrap();
+        let values = report.values();
+        assert_eq!(values.len(), 3, "engine {}", desc.label);
+        assert_eq!(
+            (values[0], values[2]),
+            (None, None),
+            "engine {}",
+            desc.label
+        );
+        let events: Vec<u64> = report.outcomes.iter().map(|o| o.total_events).collect();
+        assert_eq!(events, vec![0, 2, 0], "engine {}", desc.label);
+        if desc.exact {
+            assert_eq!(values[1], Some(5), "engine {}", desc.label);
+        } else {
+            assert!(values[1].is_some(), "engine {}", desc.label);
+        }
+    }
 }
 
 #[test]

@@ -269,8 +269,9 @@ pub static SPEC: ProtocolSpec = ProtocolSpec {
             transitions: &[t("collect", "EventBatch", "collect", None)],
         },
         RoleSpec {
+            // The centralized engine's raw-shipping local half.
             name: "tdigest-local",
-            file: "dema-cluster/src/engines/tdigest_central.rs",
+            file: "dema-cluster/src/engines/centralized.rs",
             states: &["streaming"],
             receives: &[],
             sends: &["EventBatch"],
@@ -448,6 +449,21 @@ mod tests {
             assert_eq!(role(r.name).map(|x| x.name), Some(r.name));
         }
         assert!(role("no-such-role").is_none());
+    }
+
+    #[test]
+    fn every_role_file_exists() {
+        // Lint R6 skips a spec file it cannot find, so a moved or deleted
+        // engine file would silently drop its roles from the check.
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for r in SPEC.roles {
+            assert!(
+                crates.join(r.file).is_file(),
+                "{}: hosting file crates/{} does not exist",
+                r.name,
+                r.file
+            );
+        }
     }
 
     #[test]
