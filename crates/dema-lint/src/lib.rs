@@ -21,7 +21,9 @@
 //!   defining file and exercised by some test. A variant nobody builds is a
 //!   dead protocol error; one no test matches is unverified behaviour.
 //! * **R4** — every wire `Message` variant is mentioned by some test
-//!   (golden/property coverage of the protocol surface).
+//!   (golden/property coverage of the protocol surface). Both rules read
+//!   their enum lexically, so it must stay hand-written: a defining file
+//!   that yields no variant is a finding, not a vacuous pass.
 //! * **R5** — no bare blocking `.recv()` in non-test library code of
 //!   `dema-cluster`. The fault-tolerance layer assumes every wait is
 //!   bounded: an unbounded receive cannot observe retry deadlines or a
@@ -1308,13 +1310,39 @@ fn variant_uses(
     usage
 }
 
+/// The variants of `enum <name>` in its defining file. A file that exists
+/// but yields no variant — the enum renamed, generated by a macro, or not
+/// parsed — is itself a `rule` violation: the per-variant check would
+/// otherwise pass with nothing checked.
+fn defined_variants(
+    file: &SourceFile,
+    rule: &'static str,
+    enum_name: &str,
+    violations: &mut Vec<Violation>,
+) -> Vec<String> {
+    let variants = enum_variants(&file.masked, enum_name);
+    if variants.is_empty() {
+        violations.push(Violation {
+            rule,
+            path: file.rel.clone(),
+            line: 0,
+            token: format!("enum {enum_name}"),
+            message: format!(
+                "no variant of a hand-written `enum {enum_name}` found in its defining \
+                 file — {rule} would pass without checking anything"
+            ),
+        });
+    }
+    variants
+}
+
 /// R3: every `DemaError` variant constructed and exercised by a test.
 fn check_r3(files: &[SourceFile], violations: &mut Vec<Violation>) {
     let defining = "dema-core/src/error.rs";
     let Some(error_file) = files.iter().find(|f| f.rel.ends_with(defining)) else {
         return;
     };
-    for variant in enum_variants(&error_file.masked, "DemaError") {
+    for variant in defined_variants(error_file, "R3", "DemaError", violations) {
         let usage = variant_uses(files, defining, "DemaError", &variant);
         if !usage.constructed {
             violations.push(Violation {
@@ -1349,7 +1377,7 @@ fn check_r4(files: &[SourceFile], violations: &mut Vec<Violation>) {
     let Some(message_file) = files.iter().find(|f| f.rel.ends_with(defining)) else {
         return;
     };
-    for variant in enum_variants(&message_file.masked, "Message") {
+    for variant in defined_variants(message_file, "R4", "Message", violations) {
         let usage = variant_uses(files, defining, "Message", &variant);
         if !usage.tested {
             violations.push(Violation {

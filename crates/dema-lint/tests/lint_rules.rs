@@ -1,7 +1,8 @@
 //! End-to-end checks of the `dema-lint` binary over the fixture trees:
 //! per-rule diagnostics on the `violations` tree, exit 0 on the `clean`
 //! tree (allow-tags honoured), baseline suppression, stale allow-tags
-//! (R8), stale baseline entries, `--spec` conformance (R6), the
+//! (R8), stale baseline entries, R3/R4 over a tree whose enums they cannot
+//! read (`vacuous-enums`), `--spec` conformance (R6), the
 //! `--concurrency` lock/channel pass (R10–R13) over the `conc-*` trees,
 //! the reactor-runtime receive ban (R14), the `--alloc` allocation
 //! discipline pass (R15–R17) over the `alloc-*` trees, and the `explain`
@@ -145,6 +146,28 @@ fn stale_allow_tag_is_an_r8_violation() {
     assert!(
         stdout.contains("allow(R1)"),
         "R8 diagnostic must name the dead tag\n{stdout}"
+    );
+}
+
+/// R3/R4 read their enum lexically from its defining file. When that file
+/// exists but holds no parsable `enum DemaError` / `enum Message` (here a
+/// renamed enum and a macro-generated one), the rules must fail instead of
+/// checking zero variants.
+#[test]
+fn missing_enums_fail_r3_and_r4() {
+    let (code, stdout) = run_lint(&fixture("vacuous-enums"), &[]);
+    assert_eq!(code, 1, "a vacuous R3/R4 must fail\n{stdout}");
+    assert!(
+        stdout.contains(
+            "crates/dema-core/src/error.rs:0: R3: no variant of a hand-written `enum DemaError`"
+        ),
+        "missing R3 diagnostic\n{stdout}"
+    );
+    assert!(
+        stdout.contains(
+            "crates/dema-wire/src/message.rs:0: R4: no variant of a hand-written `enum Message`"
+        ),
+        "missing R4 diagnostic\n{stdout}"
     );
 }
 

@@ -2,11 +2,13 @@
 //!
 //! Each frame is a little-endian `u32` payload length followed by exactly
 //! one encoded [`Message`]. Used by the TCP transport; the in-memory
-//! transport moves decoded messages directly and only uses `encoded_len`
-//! for byte accounting. This module owns the frame format in both
-//! directions: [`encode_frame_into`] appends a frame to a connection's
-//! outbound buffer, [`decode_frame`] parses one off the front of its
-//! inbound buffer.
+//! transport moves decoded messages directly and only uses
+//! [`Message::encoded_len`] for byte accounting. That is exact: it sums the
+//! sizes of the same schema-row fields the encoder writes, so a mem link
+//! charges the bytes this frame would carry. This module owns the frame
+//! format in both directions: [`encode_frame_into`] appends a frame to a
+//! connection's outbound buffer, [`decode_frame`] parses one off the front
+//! of its inbound buffer.
 
 use dema_core::alloc::{enter_phase, Phase};
 

@@ -11,7 +11,9 @@
 //! the network-cost experiments (Figure 6) need *exact*, deterministic
 //! on-wire byte counts, and the protocol is small enough that an explicit
 //! format is simpler than a dependency. All integers are little-endian and
-//! fixed-width; every message starts with a one-byte tag.
+//! fixed-width; every message starts with a one-byte tag. Each tag's layout
+//! is one row of the schema table in [`message`], from which the encoder,
+//! the decoder and `encoded_len` are all generated.
 //!
 //! * [`message::Message`] — the protocol: synopsis batches, candidate
 //!   requests/replies, raw event batches (centralized & decentralized-sort

@@ -1,10 +1,21 @@
 //! Protocol messages and their binary encoding.
+//!
+//! Each tag's layout is written once, as one row of the table in the
+//! private `schema` module: the tag constant and byte, the [`Message`]
+//! variant, and the variant's fields in wire order. Every field type
+//! implements the private `Field` trait (`put`, `take`, `size`), and the
+//! table generates [`TAGS`], [`Message::tag`], [`Message::variant_name`],
+//! the encoder, [`Message::encoded_len`] and the decoder from the rows — so
+//! `encoded_len` is, by construction, the tag byte plus the sizes of the
+//! fields the encoder writes. Adding a tag is one variant plus one row.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::shared::SharedRun;
 use dema_core::slice::{SliceId, SliceSynopsis};
 use dema_sketch::tdigest::Centroid;
+
+pub use schema::TAGS;
 
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,24 +43,6 @@ impl std::error::Error for WireError {}
 /// Hard cap on any element count in a decoded message; frames larger than
 /// this indicate corruption, not workload.
 const MAX_ELEMS: u64 = 1 << 28;
-
-const TAG_SYNOPSIS_BATCH: u8 = 1;
-const TAG_CANDIDATE_REQUEST: u8 = 2;
-const TAG_CANDIDATE_REPLY: u8 = 3;
-const TAG_EVENT_BATCH: u8 = 4;
-const TAG_DIGEST_BATCH: u8 = 5;
-const TAG_GAMMA_UPDATE: u8 = 6;
-const TAG_WINDOW_RESULT: u8 = 7;
-const TAG_STREAM_END: u8 = 8;
-const TAG_SKETCH_BATCH: u8 = 9;
-const TAG_ROUTED: u8 = 10;
-const TAG_RESEND_WINDOW: u8 = 11;
-const TAG_CANDIDATE_RETRY: u8 = 12;
-const TAG_JOIN_REQUEST: u8 = 13;
-const TAG_JOIN_ACCEPT: u8 = 14;
-const TAG_LEAVE_ANNOUNCE: u8 = 15;
-const TAG_DRAIN_COMPLETE: u8 = 16;
-const TAG_EPOCH_SWITCH: u8 = 17;
 
 /// Every message of the Dema cluster protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,80 +238,6 @@ pub struct TagInfo {
     pub name: &'static str,
 }
 
-/// Every wire tag, ascending by tag byte. One entry per [`Message`]
-/// variant; `tags_cover_every_variant` in the test module pins the
-/// correspondence.
-pub const TAGS: [TagInfo; 17] = [
-    TagInfo {
-        tag: TAG_SYNOPSIS_BATCH,
-        name: "SynopsisBatch",
-    },
-    TagInfo {
-        tag: TAG_CANDIDATE_REQUEST,
-        name: "CandidateRequest",
-    },
-    TagInfo {
-        tag: TAG_CANDIDATE_REPLY,
-        name: "CandidateReply",
-    },
-    TagInfo {
-        tag: TAG_EVENT_BATCH,
-        name: "EventBatch",
-    },
-    TagInfo {
-        tag: TAG_DIGEST_BATCH,
-        name: "DigestBatch",
-    },
-    TagInfo {
-        tag: TAG_GAMMA_UPDATE,
-        name: "GammaUpdate",
-    },
-    TagInfo {
-        tag: TAG_WINDOW_RESULT,
-        name: "WindowResult",
-    },
-    TagInfo {
-        tag: TAG_STREAM_END,
-        name: "StreamEnd",
-    },
-    TagInfo {
-        tag: TAG_SKETCH_BATCH,
-        name: "SketchBatch",
-    },
-    TagInfo {
-        tag: TAG_ROUTED,
-        name: "Routed",
-    },
-    TagInfo {
-        tag: TAG_RESEND_WINDOW,
-        name: "ResendWindow",
-    },
-    TagInfo {
-        tag: TAG_CANDIDATE_RETRY,
-        name: "CandidateRetry",
-    },
-    TagInfo {
-        tag: TAG_JOIN_REQUEST,
-        name: "JoinRequest",
-    },
-    TagInfo {
-        tag: TAG_JOIN_ACCEPT,
-        name: "JoinAccept",
-    },
-    TagInfo {
-        tag: TAG_LEAVE_ANNOUNCE,
-        name: "LeaveAnnounce",
-    },
-    TagInfo {
-        tag: TAG_DRAIN_COMPLETE,
-        name: "DrainComplete",
-    },
-    TagInfo {
-        tag: TAG_EPOCH_SWITCH,
-        name: "EpochSwitch",
-    },
-];
-
 /// Look up the metadata for a wire tag byte, if one is defined.
 pub fn tag_info(tag: u8) -> Option<TagInfo> {
     TAGS.iter().copied().find(|t| t.tag == tag)
@@ -330,38 +249,6 @@ pub fn tag_by_name(name: &str) -> Option<TagInfo> {
 }
 
 impl Message {
-    /// The wire tag byte this message encodes with — always the first byte
-    /// of [`Message::encode`] output.
-    pub fn tag(&self) -> u8 {
-        match self {
-            Message::SynopsisBatch { .. } => TAG_SYNOPSIS_BATCH,
-            Message::CandidateRequest { .. } => TAG_CANDIDATE_REQUEST,
-            Message::CandidateReply { .. } => TAG_CANDIDATE_REPLY,
-            Message::EventBatch { .. } => TAG_EVENT_BATCH,
-            Message::DigestBatch { .. } => TAG_DIGEST_BATCH,
-            Message::GammaUpdate { .. } => TAG_GAMMA_UPDATE,
-            Message::WindowResult { .. } => TAG_WINDOW_RESULT,
-            Message::StreamEnd { .. } => TAG_STREAM_END,
-            Message::SketchBatch { .. } => TAG_SKETCH_BATCH,
-            Message::Routed { .. } => TAG_ROUTED,
-            Message::ResendWindow { .. } => TAG_RESEND_WINDOW,
-            Message::CandidateRetry { .. } => TAG_CANDIDATE_RETRY,
-            Message::JoinRequest { .. } => TAG_JOIN_REQUEST,
-            Message::JoinAccept { .. } => TAG_JOIN_ACCEPT,
-            Message::LeaveAnnounce { .. } => TAG_LEAVE_ANNOUNCE,
-            Message::DrainComplete { .. } => TAG_DRAIN_COMPLETE,
-            Message::EpochSwitch { .. } => TAG_EPOCH_SWITCH,
-        }
-    }
-
-    /// The variant name as recorded in [`TAGS`], e.g. `"SynopsisBatch"`.
-    pub fn variant_name(&self) -> &'static str {
-        match tag_info(self.tag()) {
-            Some(t) => t.name,
-            None => "<unknown>",
-        }
-    }
-
     /// Encode into `buf`. The encoding is deterministic; `encoded_len`
     /// predicts the exact size.
     pub fn encode(&self, buf: &mut BytesMut) {
@@ -377,223 +264,6 @@ impl Message {
         self.encode_impl(buf);
     }
 
-    fn encode_impl<B: BufMut>(&self, buf: &mut B) {
-        match self {
-            Message::SynopsisBatch {
-                node,
-                window,
-                synopses,
-            } => {
-                buf.put_u8(TAG_SYNOPSIS_BATCH);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(window.0);
-                buf.put_u32_le(synopses.len() as u32);
-                for s in synopses {
-                    buf.put_u32_le(s.id.index);
-                    buf.put_i64_le(s.first);
-                    buf.put_i64_le(s.last);
-                    buf.put_u64_le(s.count);
-                    buf.put_u32_le(s.total_slices);
-                }
-            }
-            Message::CandidateRequest { window, slices } => {
-                buf.put_u8(TAG_CANDIDATE_REQUEST);
-                buf.put_u64_le(window.0);
-                buf.put_u32_le(slices.len() as u32);
-                for &i in slices {
-                    buf.put_u32_le(i);
-                }
-            }
-            Message::CandidateReply {
-                node,
-                window,
-                slices,
-            } => {
-                buf.put_u8(TAG_CANDIDATE_REPLY);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(window.0);
-                buf.put_u32_le(slices.len() as u32);
-                for (idx, events) in slices {
-                    buf.put_u32_le(*idx);
-                    buf.put_u32_le(events.len() as u32);
-                    put_events(buf, events.as_ref());
-                }
-            }
-            Message::EventBatch {
-                node,
-                window,
-                sorted,
-                events,
-            } => {
-                buf.put_u8(TAG_EVENT_BATCH);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(window.0);
-                buf.put_u8(u8::from(*sorted));
-                buf.put_u32_le(events.len() as u32);
-                put_events(buf, events);
-            }
-            Message::DigestBatch {
-                node,
-                window,
-                count,
-                compression,
-                centroids,
-            } => {
-                buf.put_u8(TAG_DIGEST_BATCH);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(window.0);
-                buf.put_u64_le(*count);
-                buf.put_f64_le(*compression);
-                buf.put_u32_le(centroids.len() as u32);
-                for c in centroids {
-                    buf.put_f64_le(c.mean);
-                    buf.put_u64_le(c.weight);
-                }
-            }
-            Message::GammaUpdate { gamma } => {
-                buf.put_u8(TAG_GAMMA_UPDATE);
-                buf.put_u64_le(*gamma);
-            }
-            Message::WindowResult {
-                window,
-                value,
-                total_events,
-            } => {
-                buf.put_u8(TAG_WINDOW_RESULT);
-                buf.put_u64_le(window.0);
-                buf.put_i64_le(*value);
-                buf.put_u64_le(*total_events);
-            }
-            Message::StreamEnd { node, late_events } => {
-                buf.put_u8(TAG_STREAM_END);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(*late_events);
-            }
-            Message::SketchBatch {
-                node,
-                window,
-                count,
-                min,
-                max,
-                items,
-            } => {
-                buf.put_u8(TAG_SKETCH_BATCH);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(window.0);
-                buf.put_u64_le(*count);
-                buf.put_f64_le(*min);
-                buf.put_f64_le(*max);
-                buf.put_u32_le(items.len() as u32);
-                for (v, w) in items {
-                    buf.put_f64_le(*v);
-                    buf.put_u64_le(*w);
-                }
-            }
-            Message::Routed { dest, inner } => {
-                buf.put_u8(TAG_ROUTED);
-                buf.put_u32_le(dest.0);
-                inner.encode_impl(buf);
-            }
-            Message::ResendWindow { window, attempt } => {
-                buf.put_u8(TAG_RESEND_WINDOW);
-                buf.put_u64_le(window.0);
-                buf.put_u32_le(*attempt);
-            }
-            Message::CandidateRetry {
-                window,
-                slices,
-                attempt,
-            } => {
-                buf.put_u8(TAG_CANDIDATE_RETRY);
-                buf.put_u64_le(window.0);
-                buf.put_u32_le(*attempt);
-                buf.put_u32_le(slices.len() as u32);
-                for &i in slices {
-                    buf.put_u32_le(i);
-                }
-            }
-            Message::JoinRequest { node, window } => {
-                buf.put_u8(TAG_JOIN_REQUEST);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(window.0);
-            }
-            Message::JoinAccept {
-                node,
-                epoch,
-                window,
-                gamma,
-            } => {
-                buf.put_u8(TAG_JOIN_ACCEPT);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(window.0);
-                buf.put_u64_le(*gamma);
-            }
-            Message::LeaveAnnounce { node, window } => {
-                buf.put_u8(TAG_LEAVE_ANNOUNCE);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(window.0);
-            }
-            Message::DrainComplete { node, epoch } => {
-                buf.put_u8(TAG_DRAIN_COMPLETE);
-                buf.put_u32_le(node.0);
-                buf.put_u64_le(*epoch);
-            }
-            Message::EpochSwitch {
-                epoch,
-                window,
-                joined,
-                left,
-            } => {
-                buf.put_u8(TAG_EPOCH_SWITCH);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(window.0);
-                buf.put_u32_le(joined.len() as u32);
-                for n in joined {
-                    buf.put_u32_le(n.0);
-                }
-                buf.put_u32_le(left.len() as u32);
-                for n in left {
-                    buf.put_u32_le(n.0);
-                }
-            }
-        }
-    }
-
-    /// Exact size [`Message::encode`] will produce, in bytes.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            Message::SynopsisBatch { synopses, .. } => {
-                1 + 4 + 8 + 4 + synopses.len() * (4 + 8 + 8 + 8 + 4)
-            }
-            Message::CandidateRequest { slices, .. } => 1 + 8 + 4 + slices.len() * 4,
-            Message::CandidateReply { slices, .. } => {
-                1 + 4
-                    + 8
-                    + 4
-                    + slices
-                        .iter()
-                        .map(|(_, ev)| 4 + 4 + ev.len() * EVENT_LEN)
-                        .sum::<usize>()
-            }
-            Message::EventBatch { events, .. } => 1 + 4 + 8 + 1 + 4 + events.len() * EVENT_LEN,
-            Message::DigestBatch { centroids, .. } => 1 + 4 + 8 + 8 + 8 + 4 + centroids.len() * 16,
-            Message::GammaUpdate { .. } => 1 + 8,
-            Message::WindowResult { .. } => 1 + 8 + 8 + 8,
-            Message::StreamEnd { .. } => 1 + 4 + 8,
-            Message::SketchBatch { items, .. } => 1 + 4 + 8 + 8 + 8 + 8 + 4 + items.len() * 16,
-            Message::Routed { inner, .. } => 1 + 4 + inner.encoded_len(),
-            Message::ResendWindow { .. } => 1 + 8 + 4,
-            Message::CandidateRetry { slices, .. } => 1 + 8 + 4 + 4 + slices.len() * 4,
-            Message::JoinRequest { .. } | Message::LeaveAnnounce { .. } => 1 + 4 + 8,
-            Message::JoinAccept { .. } => 1 + 4 + 8 + 8 + 8,
-            Message::DrainComplete { .. } => 1 + 4 + 8,
-            Message::EpochSwitch { joined, left, .. } => {
-                1 + 8 + 8 + 4 + joined.len() * 4 + 4 + left.len() * 4
-            }
-        }
-    }
-
     /// Encode into a fresh buffer.
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
@@ -604,7 +274,7 @@ impl Message {
     /// Decode one message from `buf`, which must contain exactly one
     /// encoded message (as produced by [`Message::encode`]).
     pub fn decode(mut buf: &[u8]) -> Result<Message, WireError> {
-        let msg = decode_inner(&mut buf, true)?;
+        let msg = schema::decode_inner(&mut buf, true)?;
         if !buf.is_empty() {
             return Err(WireError::BadLength(buf.len() as u64));
         }
@@ -655,330 +325,378 @@ pub const EVENT_LEN: usize = 8 + 8 + 8;
 
 /// Events per block of the strided batch codec: 64 events fill a 1536-byte
 /// stack buffer — small enough to stay cache-hot, large enough that the
-/// fill loop autovectorizes and the generic [`BufMut`] machinery is paid
-/// once per block instead of three times per event.
+/// fill loop autovectorizes and the generic [`bytes::BufMut`] machinery is
+/// paid once per block instead of three times per event.
 const EVENT_BLOCK: usize = 64;
 
-/// Encode a batch of events in fixed-stride blocks.
-///
-/// Byte-for-byte identical to encoding each event as
-/// `put_i64_le(value), put_u64_le(ts), put_u64_le(id)` — the layout is the
-/// same 24-byte little-endian record, only the write granularity changes
-/// (one `put_slice` per block). The frame-level golden test below pins the
-/// equivalence.
-fn put_events<B: BufMut>(buf: &mut B, events: &[Event]) {
-    let mut block = [0u8; EVENT_BLOCK * EVENT_LEN];
-    for chunk in events.chunks(EVENT_BLOCK) {
-        for (rec, e) in block.chunks_exact_mut(EVENT_LEN).zip(chunk) {
-            rec[..8].copy_from_slice(&e.value.to_le_bytes());
-            rec[8..16].copy_from_slice(&e.ts.to_le_bytes());
-            rec[16..24].copy_from_slice(&e.id.to_le_bytes());
-        }
-        buf.put_slice(&block[..chunk.len() * EVENT_LEN]);
-    }
-}
-
-/// Decode `n` fixed-stride event records.
-///
-/// Verifies the full `n · EVENT_LEN` bytes are present up front (any
-/// truncation inside the batch still fails, now before allocating), then
-/// strides through the raw records — no per-field bounds checks.
-fn take_events(buf: &mut &[u8], n: usize) -> Result<Vec<Event>, WireError> {
-    let bytes = n
-        .checked_mul(EVENT_LEN)
-        .ok_or(WireError::BadLength(n as u64))?;
-    need(buf, bytes)?;
-    let (records, rest) = buf.split_at(bytes);
-    let mut events = Vec::with_capacity(n);
-    let mut word = [0u8; 8];
-    for rec in records.chunks_exact(EVENT_LEN) {
-        word.copy_from_slice(&rec[..8]);
-        let value = i64::from_le_bytes(word);
-        word.copy_from_slice(&rec[8..16]);
-        let ts = u64::from_le_bytes(word);
-        word.copy_from_slice(&rec[16..24]);
-        let id = u64::from_le_bytes(word);
-        events.push(Event { value, ts, id });
-    }
-    *buf = rest;
-    Ok(events)
-}
-
-#[inline]
-fn need(buf: &&[u8], n: usize) -> Result<(), WireError> {
-    if buf.len() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn take_count(buf: &mut &[u8]) -> Result<usize, WireError> {
-    need(buf, 4)?;
-    let n = buf.get_u32_le() as u64;
-    if n > MAX_ELEMS {
-        return Err(WireError::BadLength(n));
-    }
-    Ok(n as usize)
-}
-
-/// Validate that `n` records of at least `record_len` bytes each are
-/// actually present in `buf`, then hand `n` back as a trustworthy
-/// capacity. Replaces the old `n.min(1024)`-style capacity guesses: the
-/// output vector is sized exactly once from the validated frame length,
-/// so decode loops never grow mid-flight (lint rule R15, `codec` region)
-/// and a lying count fails *before* allocating instead of after.
-#[inline]
-fn validated_count(buf: &&[u8], n: usize, record_len: usize) -> Result<usize, WireError> {
-    let bytes = n
-        .checked_mul(record_len)
-        .ok_or(WireError::BadLength(n as u64))?;
-    need(buf, bytes)?;
-    Ok(n)
-}
-
 // hot-path: codec
-fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireError> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    match tag {
-        TAG_SYNOPSIS_BATCH => {
-            need(buf, 4 + 8)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
-            let n = take_count(buf)?;
-            let mut synopses = Vec::with_capacity(validated_count(buf, n, 4 + 8 + 8 + 8 + 4)?);
-            for _ in 0..n {
-                need(buf, 4 + 8 + 8 + 8 + 4)?;
-                let index = buf.get_u32_le();
-                let first = buf.get_i64_le();
-                let last = buf.get_i64_le();
-                let count = buf.get_u64_le();
-                let total_slices = buf.get_u32_le();
-                synopses.push(SliceSynopsis {
-                    id: SliceId {
-                        node,
-                        window,
-                        index,
-                    },
-                    first,
-                    last,
-                    count,
-                    total_slices,
-                });
+/// The wire schema: the `Field` codec of every field type, the table with
+/// one row per tag, and the decoder.
+mod schema {
+    use super::*;
+    use bytes::BufMut;
+
+    /// One field of a wire layout: how a value is written, read back and
+    /// sized. Fixed-width integers are little-endian.
+    trait Field: Sized {
+        /// Fewest bytes an encoded value takes. A decoded count of values is
+        /// validated against the bytes left before anything is allocated.
+        /// (Not `MIN`: `u32::MIN` would name the integer's inherent 0.)
+        const MIN_SIZE: usize;
+        /// Every value takes exactly `MIN_SIZE` bytes, so a list of them is
+        /// sized by one multiplication instead of a walk. A type that
+        /// overrides `size` must set it to `false`.
+        const FIXED: bool = true;
+        /// Append the value's bytes.
+        fn put<B: BufMut>(&self, buf: &mut B);
+        /// Read a value off the front of `buf`.
+        fn take(buf: &mut &[u8]) -> Result<Self, WireError>;
+        /// Exactly the number of bytes `put` appends.
+        fn size(&self) -> usize {
+            Self::MIN_SIZE
+        }
+    }
+
+    macro_rules! le_fields {
+        ($($t:ty),*) => {$(
+            impl Field for $t {
+                const MIN_SIZE: usize = std::mem::size_of::<$t>();
+                fn put<B: BufMut>(&self, buf: &mut B) {
+                    buf.put_slice(&self.to_le_bytes());
+                }
+                fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+                    let (head, rest) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+                    *buf = rest;
+                    Ok(<$t>::from_le_bytes(*head))
+                }
             }
-            Ok(Message::SynopsisBatch {
-                node,
-                window,
-                synopses,
-            })
-        }
-        TAG_CANDIDATE_REQUEST => {
-            need(buf, 8)?;
-            let window = WindowId(buf.get_u64_le());
-            let n = take_count(buf)?;
-            let mut slices = Vec::with_capacity(validated_count(buf, n, 4)?);
-            for _ in 0..n {
-                need(buf, 4)?;
-                slices.push(buf.get_u32_le());
+        )*};
+    }
+    le_fields!(u8, u32, u64, i64, f64);
+
+    macro_rules! newtype_fields {
+        ($($t:ident($inner:ty)),*) => {$(
+            impl Field for $t {
+                const MIN_SIZE: usize = <$inner as Field>::MIN_SIZE;
+                fn put<B: BufMut>(&self, buf: &mut B) {
+                    self.0.put(buf);
+                }
+                fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+                    Ok($t(<$inner>::take(buf)?))
+                }
             }
-            Ok(Message::CandidateRequest { window, slices })
+        )*};
+    }
+    newtype_fields!(NodeId(u32), WindowId(u64));
+
+    impl Field for bool {
+        const MIN_SIZE: usize = 1;
+        fn put<B: BufMut>(&self, buf: &mut B) {
+            u8::from(*self).put(buf);
         }
-        TAG_CANDIDATE_REPLY => {
-            need(buf, 4 + 8)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
-            let n = take_count(buf)?;
-            // Variable-length records: validate against the 8-byte floor
-            // (slice index + event count) every record must carry.
-            let mut slices = Vec::with_capacity(validated_count(buf, n, 4 + 4)?);
-            for _ in 0..n {
-                need(buf, 4)?;
-                let idx = buf.get_u32_le();
-                let m = take_count(buf)?;
-                slices.push((idx, SharedRun::from_vec(take_events(buf, m)?)));
+        fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+            Ok(u8::take(buf)? != 0)
+        }
+    }
+
+    impl<A: Field, B: Field> Field for (A, B) {
+        const MIN_SIZE: usize = A::MIN_SIZE + B::MIN_SIZE;
+        const FIXED: bool = A::FIXED && B::FIXED;
+        fn put<M: BufMut>(&self, buf: &mut M) {
+            self.0.put(buf);
+            self.1.put(buf);
+        }
+        fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+            Ok((A::take(buf)?, B::take(buf)?))
+        }
+        fn size(&self) -> usize {
+            self.0.size() + self.1.size()
+        }
+    }
+
+    impl Field for Centroid {
+        const MIN_SIZE: usize = 8 + 8;
+        fn put<B: BufMut>(&self, buf: &mut B) {
+            self.mean.put(buf);
+            self.weight.put(buf);
+        }
+        fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+            Ok(Centroid {
+                mean: f64::take(buf)?,
+                weight: u64::take(buf)?,
+            })
+        }
+    }
+
+    /// The 32-byte synopsis record. Its `node` and `window` travel once, in
+    /// the batch header; `decode_inner` stamps them onto every record.
+    impl Field for SliceSynopsis {
+        const MIN_SIZE: usize = 4 + 8 + 8 + 8 + 4;
+        fn put<B: BufMut>(&self, buf: &mut B) {
+            self.id.index.put(buf);
+            self.first.put(buf);
+            self.last.put(buf);
+            self.count.put(buf);
+            self.total_slices.put(buf);
+        }
+        fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+            Ok(SliceSynopsis {
+                id: SliceId {
+                    node: NodeId(0),
+                    window: WindowId(0),
+                    index: u32::take(buf)?,
+                },
+                first: i64::take(buf)?,
+                last: i64::take(buf)?,
+                count: u64::take(buf)?,
+                total_slices: u32::take(buf)?,
+            })
+        }
+    }
+
+    /// A `u32` count, then the elements.
+    impl<T: Field> Field for Vec<T> {
+        const MIN_SIZE: usize = 4;
+        const FIXED: bool = false;
+        fn put<B: BufMut>(&self, buf: &mut B) {
+            buf.put_u32_le(self.len() as u32);
+            for x in self {
+                x.put(buf);
             }
-            Ok(Message::CandidateReply {
-                node,
-                window,
-                slices,
-            })
         }
-        TAG_EVENT_BATCH => {
-            need(buf, 4 + 8 + 1)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
-            let sorted = buf.get_u8() != 0;
-            let n = take_count(buf)?;
-            let events = take_events(buf, n)?;
-            Ok(Message::EventBatch {
-                node,
-                window,
-                sorted,
-                events,
-            })
-        }
-        TAG_DIGEST_BATCH => {
-            need(buf, 4 + 8 + 8 + 8)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
-            let count = buf.get_u64_le();
-            let compression = buf.get_f64_le();
-            let n = take_count(buf)?;
-            let mut centroids = Vec::with_capacity(validated_count(buf, n, 16)?);
+        fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+            let n = take_count(buf, T::MIN_SIZE)?;
+            let mut out = Vec::with_capacity(n);
             for _ in 0..n {
-                need(buf, 16)?;
-                let mean = buf.get_f64_le();
-                let weight = buf.get_u64_le();
-                centroids.push(Centroid { mean, weight });
+                out.push(T::take(buf)?);
             }
-            Ok(Message::DigestBatch {
-                node,
-                window,
-                count,
-                compression,
-                centroids,
-            })
+            Ok(out)
         }
-        TAG_GAMMA_UPDATE => {
-            need(buf, 8)?;
-            Ok(Message::GammaUpdate {
-                gamma: buf.get_u64_le(),
-            })
-        }
-        TAG_WINDOW_RESULT => {
-            need(buf, 8 + 8 + 8)?;
-            Ok(Message::WindowResult {
-                window: WindowId(buf.get_u64_le()),
-                value: buf.get_i64_le(),
-                total_events: buf.get_u64_le(),
-            })
-        }
-        TAG_STREAM_END => {
-            need(buf, 4 + 8)?;
-            Ok(Message::StreamEnd {
-                node: NodeId(buf.get_u32_le()),
-                late_events: buf.get_u64_le(),
-            })
-        }
-        TAG_SKETCH_BATCH => {
-            need(buf, 4 + 8 + 8 + 8 + 8)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
-            let count = buf.get_u64_le();
-            let min = buf.get_f64_le();
-            let max = buf.get_f64_le();
-            let n = take_count(buf)?;
-            let mut items = Vec::with_capacity(validated_count(buf, n, 16)?);
-            for _ in 0..n {
-                need(buf, 16)?;
-                let v = buf.get_f64_le();
-                let w = buf.get_u64_le();
-                items.push((v, w));
+        fn size(&self) -> usize {
+            4 + if T::FIXED {
+                self.len() * T::MIN_SIZE
+            } else {
+                self.iter().map(T::size).sum()
             }
-            Ok(Message::SketchBatch {
-                node,
-                window,
-                count,
-                min,
-                max,
-                items,
-            })
         }
+    }
+
+    /// Events go through the strided block codec, not per field.
+    impl Field for Vec<Event> {
+        const MIN_SIZE: usize = 4;
+        const FIXED: bool = false;
+        fn put<B: BufMut>(&self, buf: &mut B) {
+            put_events(buf, self);
+        }
+        fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+            take_events(buf)
+        }
+        fn size(&self) -> usize {
+            4 + self.len() * EVENT_LEN
+        }
+    }
+
+    impl Field for SharedRun {
+        const MIN_SIZE: usize = 4;
+        const FIXED: bool = false;
+        fn put<B: BufMut>(&self, buf: &mut B) {
+            put_events(buf, self.as_ref());
+        }
+        fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+            take_events(buf).map(SharedRun::from_vec)
+        }
+        fn size(&self) -> usize {
+            4 + self.len() * EVENT_LEN
+        }
+    }
+
+    /// The `Routed` payload: a whole inner message, its tag included.
+    impl Field for Box<Message> {
+        const MIN_SIZE: usize = 1;
+        const FIXED: bool = false;
+        fn put<B: BufMut>(&self, buf: &mut B) {
+            self.encode_impl(buf);
+        }
+        fn take(buf: &mut &[u8]) -> Result<Self, WireError> {
+            let inner = decode_inner(buf, false)?;
+            Ok(Box::new(inner)) // lint: allow(R15): Box is the Routed variant's representation; relay control path
+        }
+        fn size(&self) -> usize {
+            self.encoded_len()
+        }
+    }
+
+    /// The table: `TAG_CONST = byte => Variant { fields in wire order }`.
+    /// Field types are the variant's own; every generated item below reads
+    /// the same rows.
+    macro_rules! wire_schema {
+        ($($tag:ident = $byte:literal => $variant:ident { $($field:ident),* },)*) => {
+            $(pub(super) const $tag: u8 = $byte;)*
+
+            /// Every wire tag, ascending by tag byte: one entry per schema
+            /// row, so one per [`Message`] variant.
+            pub const TAGS: [TagInfo; [$($byte),*].len()] =
+                [$(TagInfo { tag: $tag, name: stringify!($variant) }),*];
+
+            impl Message {
+                /// The wire tag byte this message encodes with — always the
+                /// first byte of [`Message::encode`] output.
+                pub fn tag(&self) -> u8 {
+                    match self {
+                        $(Message::$variant { .. } => $tag,)*
+                    }
+                }
+
+                /// The variant name as recorded in [`TAGS`], e.g.
+                /// `"SynopsisBatch"`.
+                pub fn variant_name(&self) -> &'static str {
+                    match self {
+                        $(Message::$variant { .. } => stringify!($variant),)*
+                    }
+                }
+
+                /// Exact size [`Message::encode`] will produce, in bytes: the
+                /// tag byte plus the size of every field of the row.
+                pub fn encoded_len(&self) -> usize {
+                    match self {
+                        $(Message::$variant { $($field),* } => 1 $(+ $field.size())*,)*
+                    }
+                }
+
+                pub(super) fn encode_impl<B: BufMut>(&self, buf: &mut B) {
+                    match self {
+                        $(Message::$variant { $($field),* } => {
+                            buf.put_u8($tag);
+                            $($field.put(buf);)*
+                        })*
+                    }
+                }
+
+                /// Decode the fields that follow `tag`.
+                fn take_fields(tag: u8, buf: &mut &[u8]) -> Result<Message, WireError> {
+                    match tag {
+                        $($tag => {
+                            $(let $field = Field::take(buf)?;)*
+                            Ok(Message::$variant { $($field),* })
+                        })*
+                        other => Err(WireError::BadTag(other)),
+                    }
+                }
+            }
+        };
+    }
+
+    wire_schema! {
+        TAG_SYNOPSIS_BATCH = 1 => SynopsisBatch { node, window, synopses },
+        TAG_CANDIDATE_REQUEST = 2 => CandidateRequest { window, slices },
+        TAG_CANDIDATE_REPLY = 3 => CandidateReply { node, window, slices },
+        TAG_EVENT_BATCH = 4 => EventBatch { node, window, sorted, events },
+        TAG_DIGEST_BATCH = 5 => DigestBatch { node, window, count, compression, centroids },
+        TAG_GAMMA_UPDATE = 6 => GammaUpdate { gamma },
+        TAG_WINDOW_RESULT = 7 => WindowResult { window, value, total_events },
+        TAG_STREAM_END = 8 => StreamEnd { node, late_events },
+        TAG_SKETCH_BATCH = 9 => SketchBatch { node, window, count, min, max, items },
+        TAG_ROUTED = 10 => Routed { dest, inner },
+        TAG_RESEND_WINDOW = 11 => ResendWindow { window, attempt },
+        TAG_CANDIDATE_RETRY = 12 => CandidateRetry { window, attempt, slices },
+        TAG_JOIN_REQUEST = 13 => JoinRequest { node, window },
+        TAG_JOIN_ACCEPT = 14 => JoinAccept { node, epoch, window, gamma },
+        TAG_LEAVE_ANNOUNCE = 15 => LeaveAnnounce { node, window },
+        TAG_DRAIN_COMPLETE = 16 => DrainComplete { node, epoch },
+        TAG_EPOCH_SWITCH = 17 => EpochSwitch { epoch, window, joined, left },
+    }
+
+    pub(super) fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireError> {
+        let tag = u8::take(buf)?;
         // An envelope inside an envelope is corruption, not topology: relays
         // forward a routed frame unchanged, they never re-wrap it.
-        TAG_RESEND_WINDOW => {
-            need(buf, 8 + 4)?;
-            Ok(Message::ResendWindow {
-                window: WindowId(buf.get_u64_le()),
-                attempt: buf.get_u32_le(),
-            })
+        if tag == TAG_ROUTED && !allow_routed {
+            return Err(WireError::BadTag(tag));
         }
-        TAG_CANDIDATE_RETRY => {
-            need(buf, 8 + 4)?;
-            let window = WindowId(buf.get_u64_le());
-            let attempt = buf.get_u32_le();
-            let n = take_count(buf)?;
-            let mut slices = Vec::with_capacity(validated_count(buf, n, 4)?);
-            for _ in 0..n {
-                need(buf, 4)?;
-                slices.push(buf.get_u32_le());
+        let mut msg = Message::take_fields(tag, buf)?;
+        if let Message::SynopsisBatch {
+            node,
+            window,
+            synopses,
+        } = &mut msg
+        {
+            for s in synopses {
+                (s.id.node, s.id.window) = (*node, *window);
             }
-            Ok(Message::CandidateRetry {
-                window,
-                slices,
-                attempt,
-            })
         }
-        TAG_JOIN_REQUEST => {
-            need(buf, 4 + 8)?;
-            Ok(Message::JoinRequest {
-                node: NodeId(buf.get_u32_le()),
-                window: WindowId(buf.get_u64_le()),
-            })
-        }
-        TAG_JOIN_ACCEPT => {
-            need(buf, 4 + 8 + 8 + 8)?;
-            Ok(Message::JoinAccept {
-                node: NodeId(buf.get_u32_le()),
-                epoch: buf.get_u64_le(),
-                window: WindowId(buf.get_u64_le()),
-                gamma: buf.get_u64_le(),
-            })
-        }
-        TAG_LEAVE_ANNOUNCE => {
-            need(buf, 4 + 8)?;
-            Ok(Message::LeaveAnnounce {
-                node: NodeId(buf.get_u32_le()),
-                window: WindowId(buf.get_u64_le()),
-            })
-        }
-        TAG_DRAIN_COMPLETE => {
-            need(buf, 4 + 8)?;
-            Ok(Message::DrainComplete {
-                node: NodeId(buf.get_u32_le()),
-                epoch: buf.get_u64_le(),
-            })
-        }
-        TAG_EPOCH_SWITCH => {
-            need(buf, 8 + 8)?;
-            let epoch = buf.get_u64_le();
-            let window = WindowId(buf.get_u64_le());
-            let n = take_count(buf)?;
-            let mut joined = Vec::with_capacity(validated_count(buf, n, 4)?);
-            for _ in 0..n {
-                need(buf, 4)?;
-                joined.push(NodeId(buf.get_u32_le()));
+        Ok(msg)
+    }
+
+    /// Encode a `u32` event count, then the events in fixed-stride blocks.
+    ///
+    /// Byte-for-byte identical to encoding each event as
+    /// `put_i64_le(value), put_u64_le(ts), put_u64_le(id)` — the layout is
+    /// the same 24-byte little-endian record, only the write granularity
+    /// changes (one `put_slice` per block). The frame-level golden test
+    /// below pins the equivalence.
+    fn put_events<B: BufMut>(buf: &mut B, events: &[Event]) {
+        buf.put_u32_le(events.len() as u32);
+        let mut block = [0u8; EVENT_BLOCK * EVENT_LEN];
+        for chunk in events.chunks(EVENT_BLOCK) {
+            for (rec, e) in block.chunks_exact_mut(EVENT_LEN).zip(chunk) {
+                rec[..8].copy_from_slice(&e.value.to_le_bytes());
+                rec[8..16].copy_from_slice(&e.ts.to_le_bytes());
+                rec[16..24].copy_from_slice(&e.id.to_le_bytes());
             }
-            let m = take_count(buf)?;
-            let mut left = Vec::with_capacity(validated_count(buf, m, 4)?);
-            for _ in 0..m {
-                need(buf, 4)?;
-                left.push(NodeId(buf.get_u32_le()));
-            }
-            Ok(Message::EpochSwitch {
-                epoch,
-                window,
-                joined,
-                left,
-            })
+            buf.put_slice(&block[..chunk.len() * EVENT_LEN]);
         }
-        TAG_ROUTED if allow_routed => {
-            need(buf, 4)?;
-            let dest = NodeId(buf.get_u32_le());
-            let inner = decode_inner(buf, false)?;
-            Ok(Message::Routed {
-                dest,
-                inner: Box::new(inner), // lint: allow(R15): Box is the Routed variant's representation; relay control path
-            })
+    }
+
+    /// Decode a `u32` count and that many fixed-stride event records.
+    ///
+    /// Verifies the full `n · EVENT_LEN` bytes are present up front (any
+    /// truncation inside the batch still fails, now before allocating),
+    /// then strides through the raw records — no per-field bounds checks.
+    fn take_events(buf: &mut &[u8]) -> Result<Vec<Event>, WireError> {
+        let n = take_count(buf, EVENT_LEN)?;
+        let (records, rest) = buf.split_at(n * EVENT_LEN);
+        let mut events = Vec::with_capacity(n);
+        let mut word = [0u8; 8];
+        for rec in records.chunks_exact(EVENT_LEN) {
+            word.copy_from_slice(&rec[..8]);
+            let value = i64::from_le_bytes(word);
+            word.copy_from_slice(&rec[8..16]);
+            let ts = u64::from_le_bytes(word);
+            word.copy_from_slice(&rec[16..24]);
+            let id = u64::from_le_bytes(word);
+            events.push(Event { value, ts, id });
         }
-        other => Err(WireError::BadTag(other)),
+        *buf = rest;
+        Ok(events)
+    }
+
+    /// Read a `u32` element count and validate it before anything is
+    /// allocated: above [`MAX_ELEMS`] is corruption, and `n` elements of at
+    /// least `min_size` bytes each must actually be left in `buf`. The
+    /// output vector is then sized exactly once from the validated count,
+    /// so decode loops never grow mid-flight (lint rule R15, `codec`
+    /// region) and a lying count fails *before* allocating instead of after.
+    fn take_count(buf: &mut &[u8], min_size: usize) -> Result<usize, WireError> {
+        let n = u64::from(u32::take(buf)?);
+        if n > MAX_ELEMS {
+            return Err(WireError::BadLength(n));
+        }
+        let n = n as usize;
+        let bytes = n
+            .checked_mul(min_size)
+            .ok_or(WireError::BadLength(n as u64))?;
+        if buf.len() < bytes {
+            return Err(WireError::Truncated);
+        }
+        Ok(n)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::schema::*;
     use super::*;
+    use bytes::BufMut;
 
     fn roundtrip(msg: Message) {
         let bytes = msg.to_bytes();
@@ -1065,7 +783,17 @@ mod tests {
             Message::SynopsisBatch {
                 node: NodeId(1),
                 window: WindowId(2),
-                synopses: vec![],
+                synopses: vec![SliceSynopsis {
+                    id: SliceId {
+                        node: NodeId(1),
+                        window: WindowId(2),
+                        index: 0,
+                    },
+                    first: -1,
+                    last: 1,
+                    count: 2,
+                    total_slices: 1,
+                }],
             },
             Message::CandidateRequest {
                 window: WindowId(2),
@@ -1087,7 +815,10 @@ mod tests {
                 window: WindowId(2),
                 count: 2,
                 compression: 100.0,
-                centroids: vec![],
+                centroids: vec![Centroid {
+                    mean: 0.5,
+                    weight: 2,
+                }],
             },
             Message::GammaUpdate { gamma: 8 },
             Message::WindowResult {
@@ -1142,7 +873,7 @@ mod tests {
                 epoch: 1,
                 window: WindowId(2),
                 joined: vec![NodeId(1)],
-                left: vec![],
+                left: vec![NodeId(3)],
             },
         ]
     }
@@ -1495,18 +1226,23 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_at_every_point() {
-        let msg = Message::CandidateReply {
+        let reply = Message::CandidateReply {
             node: NodeId(1),
             window: WindowId(2),
             slices: vec![(0, sample_run(3))],
         };
-        let bytes = msg.to_bytes();
-        for cut in 0..bytes.len() {
-            let err = Message::decode(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, WireError::Truncated | WireError::BadLength(_)),
-                "cut at {cut}: {err:?}"
-            );
+        for msg in sample_of_every_variant().into_iter().chain([reply]) {
+            // `roundtrip` also pins `encoded_len() == to_bytes().len()`.
+            roundtrip(msg.clone());
+            let bytes = msg.to_bytes();
+            for cut in 0..bytes.len() {
+                let err = Message::decode(&bytes[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, WireError::Truncated | WireError::BadLength(_)),
+                    "{} cut at {cut}: {err:?}",
+                    msg.variant_name()
+                );
+            }
         }
     }
 

@@ -9,7 +9,7 @@ use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::slice::{SliceId, SliceSynopsis};
 use dema_sketch::tdigest::Centroid;
 use dema_wire::frame::{decode_frame, encode_frame_into};
-use dema_wire::Message;
+use dema_wire::{Message, TAGS};
 
 fn arb_event() -> impl Strategy<Value = Event> {
     (any::<i64>(), any::<u64>(), any::<u64>()).prop_map(|(value, ts, id)| Event { value, ts, id })
@@ -36,7 +36,12 @@ fn arb_synopsis(node: u32, window: u64) -> impl Strategy<Value = SliceSynopsis> 
         })
 }
 
-fn arb_message() -> impl Strategy<Value = Message> {
+fn arb_node_ids() -> impl Strategy<Value = Vec<NodeId>> {
+    vec(any::<u32>().prop_map(NodeId), 0..10)
+}
+
+/// Every tag but `Routed`: the envelope's possible payloads.
+fn arb_unrouted() -> impl Strategy<Value = Message> {
     let node = any::<u32>();
     let window = any::<u64>();
     prop_oneof![
@@ -103,6 +108,72 @@ fn arb_message() -> impl Strategy<Value = Message> {
             node: NodeId(n),
             late_events
         }),
+        (
+            node,
+            window,
+            any::<u64>(),
+            any::<f64>(),
+            any::<f64>(),
+            vec((any::<f64>(), any::<u64>()), 0..30)
+        )
+            .prop_map(|(n, w, count, min, max, items)| Message::SketchBatch {
+                node: NodeId(n),
+                window: WindowId(w),
+                count,
+                min,
+                max,
+                items,
+            }),
+        (window, any::<u32>()).prop_map(|(w, attempt)| Message::ResendWindow {
+            window: WindowId(w),
+            attempt
+        }),
+        (window, vec(any::<u32>(), 0..20), any::<u32>()).prop_map(|(w, slices, attempt)| {
+            Message::CandidateRetry {
+                window: WindowId(w),
+                slices,
+                attempt,
+            }
+        }),
+        (node, window).prop_map(|(n, w)| Message::JoinRequest {
+            node: NodeId(n),
+            window: WindowId(w)
+        }),
+        (node, any::<u64>(), window, any::<u64>()).prop_map(|(n, epoch, w, gamma)| {
+            Message::JoinAccept {
+                node: NodeId(n),
+                epoch,
+                window: WindowId(w),
+                gamma,
+            }
+        }),
+        (node, window).prop_map(|(n, w)| Message::LeaveAnnounce {
+            node: NodeId(n),
+            window: WindowId(w)
+        }),
+        (node, any::<u64>()).prop_map(|(n, epoch)| Message::DrainComplete {
+            node: NodeId(n),
+            epoch
+        }),
+        (any::<u64>(), window, arb_node_ids(), arb_node_ids()).prop_map(
+            |(epoch, w, joined, left)| Message::EpochSwitch {
+                epoch,
+                window: WindowId(w),
+                joined,
+                left,
+            }
+        ),
+    ]
+}
+
+/// Every tag: the unrouted ones, and each of them inside a relay envelope.
+fn arb_message() -> impl Strategy<Value = Message> {
+    prop_oneof![
+        arb_unrouted(),
+        (any::<u32>(), arb_unrouted()).prop_map(|(dest, inner)| Message::Routed {
+            dest: NodeId(dest),
+            inner: Box::new(inner),
+        }),
     ]
 }
 
@@ -156,5 +227,21 @@ proptest! {
             rest = &rest[used..];
         }
         prop_assert!(decode_frame(rest).unwrap().is_none());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// The properties above run over every row of the wire schema.
+    #[test]
+    fn arb_message_covers_every_tag(msgs in vec(arb_message(), 2000)) {
+        for info in TAGS {
+            prop_assert!(
+                msgs.iter().any(|m| m.tag() == info.tag),
+                "arb_message never generates {}",
+                info.name
+            );
+        }
     }
 }
